@@ -76,38 +76,4 @@ flags_outcome broadcast_flags(channel_plan& channels, sim::network& net,
   return out;
 }
 
-flags_outcome broadcast_flags_phase_king(channel_plan& channels, sim::network& net,
-                                         const sim::fault_set& faults,
-                                         const std::vector<bool>& flags, int f,
-                                         const std::vector<graph::node_id>& sources,
-                                         pk_adversary* adv,
-                                         relay_adversary* relay_adv) {
-  const auto participants = channels.topology().active_nodes();
-  const int universe = channels.topology().universe();
-  // The > 4f precondition is checked here, at the engine boundary, so an
-  // undersized G_k fails immediately and attributably; callers resolving
-  // auto_select (core::session) and explicit configurations (session
-  // construction) reject the combination with a clean nab::error before any
-  // round runs.
-  NAB_ASSERT(phase_king_admissible(participants.size(), f),
-             "phase-king flag broadcast requires more than 4f participants");
-  NAB_ASSERT(flags.size() >= static_cast<std::size_t>(universe),
-             "flags must cover the node universe");
-
-  flags_outcome out;
-  out.agreed.assign(static_cast<std::size_t>(universe),
-                    std::vector<bool>(static_cast<std::size_t>(universe), false));
-  const double t0 = net.elapsed();
-  for (graph::node_id src : sources) {
-    const pk_result r = phase_king_broadcast(
-        channels, net, faults, src, flags[static_cast<std::size_t>(src)] ? 1 : 0, f,
-        /*value_bits=*/1, adv, relay_adv);
-    for (graph::node_id v : participants)
-      out.agreed[static_cast<std::size_t>(src)][static_cast<std::size_t>(v)] =
-          r.decided[static_cast<std::size_t>(v)] != 0;
-  }
-  out.time = net.elapsed() - t0;
-  return out;
-}
-
 }  // namespace nab::bb

@@ -57,15 +57,15 @@ flags_outcome broadcast_flags(channel_plan& channels, sim::network& net,
                               eig_adversary* adv = nullptr,
                               relay_adversary* relay_adv = nullptr);
 
-/// Phase-king variant of broadcast_flags: one phase-king broadcast per
-/// source, run back to back. Needs participants > 4f — checked by
-/// bb::phase_king_admissible (bb/claim_bcast.hpp) at this function's entry,
-/// with the same predicate applied by every auto_select boundary
-/// (core::session validates explicit selections at construction), so an
-/// undersized participant set is a clean registry/session-time rejection,
-/// never a late invariant failure mid-run. Polynomial message complexity
-/// (vs EIG's n^f), at the cost of f+2 rounds per source instead of f+1
-/// rounds total. The session exposes the choice; either way the cost is
+/// Phase-king variant of broadcast_flags, defined with the batched engine in
+/// bb/phase_king.cpp: every source shares the same 2f+3 rounds. Needs
+/// participants > 4f — checked by bb::phase_king_admissible
+/// (bb/claim_bcast.hpp) at entry, with the same predicate applied by every
+/// auto_select boundary (core::session validates explicit selections at
+/// construction), so an undersized participant set is a clean
+/// registry/session-time rejection, never a late invariant failure mid-run.
+/// Polynomial message complexity (vs EIG's n^f), at the cost of 2f+3 rounds
+/// instead of f+1. The session exposes the choice; either way the cost is
 /// independent of L (the only property NAB's analysis uses).
 flags_outcome broadcast_flags_phase_king(channel_plan& channels, sim::network& net,
                                          const sim::fault_set& faults,

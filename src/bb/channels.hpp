@@ -139,7 +139,7 @@ class relay_adversary {
 /// the full payload size in the step where the round ends.
 ///
 /// Accounting model: multi-hop forwarding within one synchronous step
-/// (cut-through); see DESIGN.md §2.
+/// (cut-through); see docs/PAPER_MAP.md, "Realization choices".
 class channel_plan {
  public:
   /// The flat pooled route storage (see route_table above).

@@ -276,155 +276,6 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
 }
 
 // ---------------------------------------------------------------------------
-// Batched multi-valued phase-king backend.
-// ---------------------------------------------------------------------------
-
-claim_outcome broadcast_claims_phase_king(
-    channel_plan& channels, sim::network& net, const sim::fault_set& faults,
-    const std::vector<claim_instance>& instances, int f,
-    relay_adversary* relay_adv) {
-  const std::vector<graph::node_id> participants =
-      channels.topology().active_nodes();
-  const auto np = static_cast<int>(participants.size());
-  NAB_ASSERT(phase_king_admissible(participants.size(), f),
-             "phase-king claim backend requires more than 4f participants — "
-             "auto_select boundaries must reject this configuration up front");
-  const int universe = channels.topology().universe();
-  const std::size_t q_count = instances.size();
-
-  claim_outcome out;
-  out.agreed.assign(q_count,
-                    std::vector<value>(static_cast<std::size_t>(universe)));
-  if (q_count == 0) return out;
-
-  const double t0 = net.elapsed();
-  round_batches batches(universe, participants);
-
-  // cur[q][v]: node v's current value for instance q (empty = default).
-  std::vector<std::vector<value>> cur(
-      q_count, std::vector<value>(static_cast<std::size_t>(universe)));
-
-  // Dissemination round: each claimant unicasts its transcript to everyone.
-  for (std::size_t q = 0; q < q_count; ++q) {
-    const claim_instance& inst = instances[q];
-    NAB_ASSERT(channels.topology().is_active(inst.source),
-               "claimant must participate");
-    NAB_ASSERT(inst.value_bits > 0, "claim instance needs a wire size");
-    cur[q][static_cast<std::size_t>(inst.source)] = inst.input;
-    for (graph::node_id r : participants) {
-      if (r == inst.source) continue;
-      round_batch& b = batches.at(inst.source, r);
-      append_payload_item(b.payload, q, inst.input);
-      b.bits += inst.value_bits + 16;
-    }
-  }
-  batches.flush(channels, claim_traffic_tag);
-  channels.end_round(net, faults, relay_adv);
-  for (graph::node_id r : participants) {
-    for (const sim::message& m : channels.inbox(r)) {
-      std::size_t pos = 0, q = 0;
-      value v;
-      while (next_payload_item(m.payload, pos, q, v)) {
-        if (q >= q_count || m.from != instances[q].source) continue;
-        cur[q][static_cast<std::size_t>(r)] = v;
-      }
-    }
-  }
-
-  // f+1 phases of (all-to-all exchange, king broadcast), rounds shared by
-  // all instances. Majority counting works on whole payloads; ties resolve
-  // to the lexicographically smallest payload at every honest node.
-  for (int phase = 0; phase <= f; ++phase) {
-    for (graph::node_id i : participants)
-      for (graph::node_id j : participants) {
-        if (j == i) continue;
-        round_batch& b = batches.at(i, j);
-        for (std::size_t q = 0; q < q_count; ++q) {
-          append_payload_item(b.payload, q, cur[q][static_cast<std::size_t>(i)]);
-          b.bits += instances[q].value_bits + 16;
-        }
-      }
-    batches.flush(channels, claim_traffic_tag);
-    channels.end_round(net, faults, relay_adv);
-
-    std::vector<std::vector<value>> maj(
-        q_count, std::vector<value>(static_cast<std::size_t>(universe)));
-    std::vector<std::vector<int>> mult(
-        q_count, std::vector<int>(static_cast<std::size_t>(universe), 0));
-    {
-      // votes[q] for the receiver currently being resolved.
-      std::vector<std::map<value, int>> votes(q_count);
-      std::vector<bool> seen(q_count, false);
-      for (graph::node_id v : participants) {
-        for (auto& m : votes) m.clear();
-        for (std::size_t q = 0; q < q_count; ++q)
-          ++votes[q][cur[q][static_cast<std::size_t>(v)]];  // own value counts
-        for (const sim::message& m : channels.inbox(v)) {
-          std::fill(seen.begin(), seen.end(), false);
-          std::size_t pos = 0, q = 0;
-          value val;
-          while (next_payload_item(m.payload, pos, q, val)) {
-            if (q >= q_count || seen[q]) continue;
-            seen[q] = true;
-            ++votes[q][val];
-          }
-        }
-        for (std::size_t q = 0; q < q_count; ++q) {
-          int best = 0;
-          const value* best_val = nullptr;
-          for (const auto& [val, count] : votes[q])
-            if (count > best) {  // map order: first max is the smallest value
-              best = count;
-              best_val = &val;
-            }
-          maj[q][static_cast<std::size_t>(v)] = best_val ? *best_val : value{};
-          mult[q][static_cast<std::size_t>(v)] = best;
-        }
-      }
-    }
-
-    const graph::node_id king =
-        participants[static_cast<std::size_t>(phase) % participants.size()];
-    for (graph::node_id j : participants) {
-      if (j == king) continue;
-      round_batch& b = batches.at(king, j);
-      for (std::size_t q = 0; q < q_count; ++q) {
-        append_payload_item(b.payload, q, maj[q][static_cast<std::size_t>(king)]);
-        b.bits += instances[q].value_bits + 16;
-      }
-    }
-    batches.flush(channels, claim_traffic_tag);
-    channels.end_round(net, faults, relay_adv);
-
-    for (graph::node_id v : participants) {
-      std::vector<value> king_val(q_count);
-      if (v != king)
-        for (const sim::message& m : channels.inbox(v)) {
-          if (m.from != king) continue;
-          std::size_t pos = 0, q = 0;
-          value val;
-          while (next_payload_item(m.payload, pos, q, val))
-            if (q < q_count) king_val[q] = val;
-        }
-      for (std::size_t q = 0; q < q_count; ++q) {
-        const bool confident =
-            2 * mult[q][static_cast<std::size_t>(v)] > np + 2 * f;
-        cur[q][static_cast<std::size_t>(v)] =
-            (confident || v == king) ? maj[q][static_cast<std::size_t>(v)]
-                                     : king_val[q];
-      }
-    }
-  }
-
-  for (std::size_t q = 0; q < q_count; ++q)
-    for (graph::node_id v : participants)
-      out.agreed[q][static_cast<std::size_t>(v)] =
-          cur[q][static_cast<std::size_t>(v)];
-  out.time = net.elapsed() - t0;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Collapsed-claim Bracha-style backend.
 // ---------------------------------------------------------------------------
 

@@ -214,7 +214,7 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
 
 /// Batched multi-valued phase-king backend (participants > 4f): one
 /// dissemination round, then f+1 phases of all-to-all exchange + king
-/// broadcast, all instances sharing rounds.
+/// broadcast, all instances sharing rounds (the engine in bb/phase_king.cpp).
 claim_outcome broadcast_claims_phase_king(
     channel_plan& channels, sim::network& net, const sim::fault_set& faults,
     const std::vector<claim_instance>& instances, int f,

@@ -11,13 +11,20 @@
 
 namespace nab::bb {
 
+// One batched engine (bb/phase_king.cpp) runs the calls below, the step-2.2
+// flags and the phase-king claim backend: all instances share 2f+3 rounds,
+// each sending every ordered pair one unicast. Flag instance q's king in
+// phase p is participants[(q + p) % np], otherwise participants[p]; either
+// way each instance meets f+1 distinct kings, so at least one is honest.
+
 /// Adversary hooks for corrupt participants of phase-king consensus.
 class pk_adversary {
  public:
   virtual ~pk_adversary() = default;
 
-  /// Value a corrupt node reports during an all-to-all exchange round.
-  /// `phase` counts from 0; `is_king_round` marks the king's broadcast.
+  /// Value a corrupt node reports to `receiver` for one instance, called in
+  /// instance order. `phase` counts from 0 (-1 = the dissemination round);
+  /// `is_king_round` marks a king's broadcast.
   virtual std::uint64_t exchange_value(graph::node_id sender, graph::node_id receiver,
                                        int phase, bool is_king_round,
                                        std::uint64_t honest) {
@@ -53,9 +60,9 @@ pk_result phase_king_consensus(channel_plan& channels, sim::network& net,
                                relay_adversary* relay_adv = nullptr);
 
 /// Byzantine broadcast built on phase-king: the source disseminates its
-/// value (one round), then everyone runs consensus on what they received.
-/// Validity holds because an honest source gives all honest nodes equal
-/// inputs.
+/// value (one round), then everyone runs consensus on what they received
+/// (`time` covers the consensus rounds). Validity holds because an honest
+/// source gives all honest nodes equal inputs.
 pk_result phase_king_broadcast(channel_plan& channels, sim::network& net,
                                const sim::fault_set& faults, graph::node_id source,
                                std::uint64_t input, int f, std::uint64_t value_bits,

@@ -24,7 +24,8 @@ struct capacity_bounds {
   /// Theorem 3 guarantee actually in force: 1/2 when gamma* <= rho*, else 1/3.
   double guaranteed_fraction = 0.0;
   /// True when gamma* came from exhaustive Gamma enumeration (exact); false
-  /// when the incident-fault-set estimate was used (see DESIGN.md §8).
+  /// when the incident-fault-set estimate was used (see docs/PAPER_MAP.md,
+  /// "Heuristics where the paper needs only existence").
   bool gamma_exact = false;
 };
 

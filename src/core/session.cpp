@@ -86,7 +86,8 @@ void session::refresh_graph_state() {
     if (certified) break;
     if (attempt >= 8)
       throw error("session: failed to certify coding matrices after 8 seeds — "
-                  "U_k is likely too small for rho_k (see DESIGN.md §8)");
+                  "U_k is likely too small for rho_k (see docs/PAPER_MAP.md, "
+                  "\"Certification retries\")");
   }
   dirty_ = false;
 }

@@ -52,7 +52,8 @@ extern const gf2_16_tables gf2_16_t;
 /// This is the default coefficient field for NAB's equality-check coding
 /// matrices: the paper draws coefficients from GF(2^{L/rho}); we draw them
 /// from GF(2^16) and apply them slice-wise to L/rho-bit symbols (the standard
-/// random-linear-network-coding realization — see DESIGN.md §2).
+/// random-linear-network-coding realization — see docs/PAPER_MAP.md,
+/// "GF(2^16) slice-wise coding").
 ///
 /// Scalar ops are header-inline over compile-time tables; the row kernels
 /// (axpy/scale) additionally hoist the scalar's log lookup out of the loop —

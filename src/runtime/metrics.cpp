@@ -212,6 +212,10 @@ json run_record::to_json(bool include_timing) const {
       .set("bits_broadcast", json::num(bits_broadcast))
       .set("throughput", json::num(throughput))
       .set("tau_mean", json::num(tau_mean))
+      .set("tau_phase1", json::num(tau_phase1))
+      .set("tau_equality_check", json::num(tau_equality_check))
+      .set("tau_flags", json::num(tau_flags))
+      .set("tau_phase3", json::num(tau_phase3))
       .set("dispute_phases", json::num(dispute_phases))
       .set("disputes", json::num(disputes))
       .set("convictions", json::num(convictions))

@@ -109,6 +109,13 @@ struct run_record {
   std::uint64_t bits_broadcast = 0;
   double throughput = 0.0;        ///< bits / simulated time
   double tau_mean = 0.0;          ///< mean simulated duration per instance
+  /// Simulated time per protocol phase, summed over the session's instance
+  /// reports (0 for pipelined runs, which report no phases). Their sum is
+  /// sim_elapsed up to floating-point association.
+  double tau_phase1 = 0.0;
+  double tau_equality_check = 0.0;
+  double tau_flags = 0.0;
+  double tau_phase3 = 0.0;
   int dispute_phases = 0;
   int disputes = 0;               ///< distinct disputing pairs at session end
   int convictions = 0;

@@ -266,6 +266,10 @@ run_record execute_scenario(const scenario& s, int run_index,
   double tau_total = 0.0;
   for (const core::instance_report& r : run.reports) {
     tau_total += r.total_time();
+    rec.tau_phase1 += r.time_phase1;
+    rec.tau_equality_check += r.time_equality_check;
+    rec.tau_flags += r.time_flags;
+    rec.tau_phase3 += r.time_phase3;
     if (r.mismatch_announced) ++rec.mismatch_instances;
     if (r.phase1_only) ++rec.phase1_only_instances;
     if (r.default_outcome) ++rec.default_outcome_instances;

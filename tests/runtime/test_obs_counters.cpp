@@ -93,6 +93,41 @@ TEST(ObsCounters, ClaimTalliesAndMarginsOnDisputedCollapsedRuns) {
   EXPECT_TRUE(saw_collapsed_dispute);
 }
 
+TEST(ObsCounters, PerPhaseTauAccountsForTheSession) {
+  // tau_phase1/equality_check/flags/phase3 sum the session's instance
+  // reports: together they are sim_elapsed, a false-flag run engages all
+  // four, a re-execution reproduces them bit for bit, and swapping the flag
+  // engine moves tau_flags alone.
+  const std::vector<scenario> sweep = select_scenarios("ablation-flags");
+  std::vector<std::size_t> picked;
+  std::vector<run_record> records;
+  for (std::size_t i = 0; i < sweep.size(); ++i)
+    if (sweep[i].adversary == adversary_kind::false_flag) {
+      picked.push_back(i);
+      records.push_back(execute_scenario(sweep[i], static_cast<int>(i), 3));
+    }
+  ASSERT_EQ(records.size(), 2u);
+  for (const run_record& r : records) {
+    ASSERT_TRUE(r.ok()) << r.scenario;
+    ASSERT_GT(r.dispute_phases, 0) << r.scenario;
+    EXPECT_GT(r.tau_phase1, 0.0) << r.scenario;
+    EXPECT_GT(r.tau_equality_check, 0.0) << r.scenario;
+    EXPECT_GT(r.tau_flags, 0.0) << r.scenario;
+    EXPECT_GT(r.tau_phase3, 0.0) << r.scenario;
+    EXPECT_NEAR(r.tau_phase1 + r.tau_equality_check + r.tau_flags + r.tau_phase3,
+                r.sim_elapsed, 1e-9 * r.sim_elapsed)
+        << r.scenario;
+  }
+  const run_record& a = records[0];
+  const run_record& b = records[1];
+  EXPECT_NE(a.flag_protocol, b.flag_protocol);
+  EXPECT_EQ(a.tau_phase1, b.tau_phase1);
+  EXPECT_EQ(a.tau_equality_check, b.tau_equality_check);
+  EXPECT_EQ(a.tau_phase3, b.tau_phase3);
+  EXPECT_NE(a.tau_flags, b.tau_flags);
+  EXPECT_EQ(a, execute_scenario(sweep[picked[0]], static_cast<int>(picked[0]), 3));
+}
+
 TEST(ObsCounters, IdenticalAcrossPooledAndUnpooledSessions) {
   // Same contract the arena-equivalence suite pins for outputs, extended to
   // the deterministic counter set: pooling is invisible to everything but
