@@ -1,5 +1,6 @@
 #include "core/certify.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "gf/linalg.hpp"
@@ -8,394 +9,34 @@
 
 namespace nab::core {
 
-gf::matrix<gf::gf2_16> build_check_matrix(const graph::digraph& g,
-                                          const std::vector<graph::node_id>& h,
-                                          const coding_scheme& coding) {
-  NAB_ASSERT(!h.empty(), "check matrix needs a nonempty subgraph");
-  const int rho = coding.rho();
-  const std::size_t blocks = h.size() - 1;  // last node of h is the reference
-
-  // Position of each node among the non-reference blocks; -1 for reference
-  // and for nodes outside H.
-  std::vector<int> pos(static_cast<std::size_t>(g.universe()), -1);
-  for (std::size_t i = 0; i + 1 < h.size(); ++i)
-    pos[static_cast<std::size_t>(h[i])] = static_cast<int>(i);
-  const graph::node_id ref = h.back();
-
-  // Count columns: total capacity of directed edges inside H.
-  std::size_t cols = 0;
-  for (const graph::edge& e : g.edges()) {
-    const bool from_in = pos[static_cast<std::size_t>(e.from)] >= 0 || e.from == ref;
-    const bool to_in = pos[static_cast<std::size_t>(e.to)] >= 0 || e.to == ref;
-    if (from_in && to_in) cols += static_cast<std::size_t>(e.cap);
-  }
-
-  gf::matrix<gf::gf2_16> ch(blocks * static_cast<std::size_t>(rho), cols);
-  std::size_t col = 0;
-  for (const graph::edge& e : g.edges()) {
-    const bool from_in = pos[static_cast<std::size_t>(e.from)] >= 0 || e.from == ref;
-    const bool to_in = pos[static_cast<std::size_t>(e.to)] >= 0 || e.to == ref;
-    if (!from_in || !to_in) continue;
-    const auto& ce = coding.matrix_for(e.from, e.to);
-    NAB_ASSERT(static_cast<graph::capacity_t>(ce.cols()) == e.cap,
-               "coding matrix width must equal edge capacity");
-    for (std::size_t k = 0; k < ce.cols(); ++k, ++col) {
-      // Block of the tail node gets C_e, block of the head gets -C_e; the
-      // two coincide over GF(2^16). The reference node has no block.
-      const int pi = pos[static_cast<std::size_t>(e.from)];
-      const int pj = pos[static_cast<std::size_t>(e.to)];
-      for (int s = 0; s < rho; ++s) {
-        const word c = ce.at(static_cast<std::size_t>(s), k);
-        if (pi >= 0)
-          ch.at(static_cast<std::size_t>(pi) * rho + s, col) = c;
-        if (pj >= 0)
-          ch.at(static_cast<std::size_t>(pj) * rho + s, col) = c;
-      }
-    }
-  }
-  NAB_ASSERT(col == cols, "column count mismatch while building C_H");
-  return ch;
-}
-
-certification certify_coding(const graph::digraph& g, int f,
-                             const dispute_record& disputes,
-                             const coding_scheme& coding) {
-  certification out;
-  out.ok = true;
-  for (const auto& h : omega_subgraphs(g, f, disputes)) {
-    if (h.size() <= 1) continue;  // nothing to distinguish
-    obs::count(obs::counter::cert_subgraphs);
-    auto ch = build_check_matrix(g, h, coding);
-    const std::size_t need = (h.size() - 1) * static_cast<std::size_t>(coding.rho());
-    if (gf::rank(std::move(ch)) != need) {
-      out.ok = false;
-      out.failing.push_back(h);
-    }
-  }
-  return out;
-}
-
 namespace {
 
 using gfw = gf::gf2_16::value_type;
 
-/// The incremental Omega_k walker behind certify_coding_batched (see the
-/// header comment for the linear-algebra argument).
-///
-/// State invariants across the DFS:
-///  - `active_cols_` lists the columns of edges whose BOTH endpoints are in
-///    the current prefix, in activation (push) order; a column activates at
-///    most once per DFS path, so basis pivots are triangular by activation
-///    order and basis rows stay independent without back-elimination.
-///  - `basis_` is append-only along a path: pushing a node may append rows,
-///    popping truncates to the recorded size. A candidate row is only ever
-///    reduced against rows that exist at its own depth, so truncation can
-///    never invalidate a surviving row.
-///  - Rows that reduce to zero on every active column ("ghosts") are kept
-///    reduced IN PLACE: at each push they are zero on every previously
-///    active column, so only the columns this push activates need scanning,
-///    and only this push's pivots can touch them. The frame saves each
-///    ghost's pre-push contents so popping restores them exactly. For a
-///    certified prefix there are exactly rho ghosts — the constant null
-///    direction.
-///
-/// Cost: one node-extension is ~(2 rho rows) x (window pivots) x row-width
-/// field ops, and the lexicographic DFS shares every prefix extension
-/// across the C(n, f) subgraphs — versus a from-scratch rank elimination
-/// per H for the naive certifier.
-class batched_certifier {
- public:
-  batched_certifier(const graph::digraph& g, int f, const dispute_record& disputes,
-                    const coding_scheme& coding)
-      : disputes_(disputes), rho_(static_cast<std::size_t>(coding.rho())),
-        nodes_(g.active_nodes()),
-        target_(static_cast<std::size_t>(g.universe() - f)) {
-    // Column universe: one block of z_e = cap(e) columns per directed edge.
-    edges_ = g.edges();
-    edge_col_.reserve(edges_.size());
-    std::size_t cols = 0;
-    for (const graph::edge& e : edges_) {
-      edge_col_.push_back(cols);
-      cols += static_cast<std::size_t>(e.cap);
-    }
-    total_cols_ = cols;
-    edges_with_.assign(static_cast<std::size_t>(g.universe()), {});
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-      edges_with_[static_cast<std::size_t>(edges_[i].from)].push_back(i);
-      edges_with_[static_cast<std::size_t>(edges_[i].to)].push_back(i);
-    }
-    pivot_of_col_.assign(total_cols_, -1);
-    in_prefix_.assign(static_cast<std::size_t>(g.universe()), false);
-
-    // Raw rows: node v's block row s carries C_e(s, k) for every incident
-    // edge — both endpoint blocks get C_e (the +/- blocks coincide in
-    // characteristic 2), exactly as build_check_matrix lays them out.
-    raw_rows_.assign(static_cast<std::size_t>(g.universe()) * rho_, {});
-    for (graph::node_id v : nodes_) {
-      for (std::size_t s = 0; s < rho_; ++s) {
-        auto& row = raw_rows_[static_cast<std::size_t>(v) * rho_ + s];
-        row.assign(total_cols_, 0);
-        for (std::size_t i : edges_with_[static_cast<std::size_t>(v)]) {
-          const auto& ce = coding.matrix_for(edges_[i].from, edges_[i].to);
-          NAB_ASSERT(static_cast<graph::capacity_t>(ce.cols()) == edges_[i].cap,
-                     "coding matrix width must equal edge capacity");
-          for (std::size_t k = 0; k < ce.cols(); ++k)
-            row[edge_col_[i] + k] = ce.at(s, k);
-        }
-      }
-    }
-  }
-
-  certification run() {
-    certification out;
-    out.ok = true;
-    if (target_ >= 2 && nodes_.size() >= target_) dfs(0, out);
-    return out;
-  }
-
- private:
-  struct frame {
-    std::size_t cols_before = 0;
-    std::size_t basis_before = 0;
-    std::size_t arena_before = 0;
-    std::vector<std::size_t> ghosts_before;
-    /// Pre-push contents of every live ghost (reduced in place this push).
-    std::vector<std::vector<gfw>> ghost_rows_before;
-  };
-
-  /// Reduce `row` against the basis, scanning active positions from
-  /// `start_pos` on — the caller guarantees the row is zero on every active
-  /// column before it (new rows touch only this push's columns; ghosts are
-  /// kept reduced). Returns the position of the new pivot, or npos when the
-  /// row reduced to zero on every active column.
-  std::size_t reduce_row(std::vector<gfw>& row, std::size_t start_pos) {
-    std::size_t pos = start_pos;
-    for (;;) {
-      while (pos < active_cols_.size() && row[active_cols_[pos]] == 0) ++pos;
-      if (pos == active_cols_.size()) return npos;
-      const std::size_t lead = active_cols_[pos];
-      const int p = pivot_of_col_[lead];
-      if (p < 0) {
-        gf::gf2_16::scale(row.data(), gf::gf2_16::inv(row[lead]), total_cols_);
-        return pos;
-      }
-      // Characteristic 2: subtracting coeff * pivot row == adding it. The
-      // pivot row is zero on active positions before `pos`, so the scan
-      // resumes where it stopped.
-      gf::gf2_16::axpy(row.data(), basis_[static_cast<std::size_t>(p)].data(),
-                       row[lead], total_cols_);
-    }
-  }
-
-  void insert_basis(std::vector<gfw>&& row, std::size_t pivot_pos) {
-    obs::count(obs::counter::gf_rows_eliminated);
-    const std::size_t lead = active_cols_[pivot_pos];
-    pivot_of_col_[lead] = static_cast<int>(basis_.size());
-    basis_pivot_.push_back(lead);
-    basis_.push_back(std::move(row));
-  }
-
-  frame push_node(graph::node_id x) {
-    obs::count(obs::counter::cert_prefix_pushes);
-    frame fr;
-    fr.cols_before = active_cols_.size();
-    fr.basis_before = basis_.size();
-    fr.arena_before = ghost_arena_.size();
-    fr.ghosts_before = ghosts_;
-    fr.ghost_rows_before.reserve(ghosts_.size());
-    for (std::size_t idx : ghosts_) fr.ghost_rows_before.push_back(ghost_arena_[idx]);
-
-    // 1. Activate the columns of every edge between x and the prefix.
-    for (std::size_t i : edges_with_[static_cast<std::size_t>(x)]) {
-      const graph::node_id other =
-          edges_[i].from == x ? edges_[i].to : edges_[i].from;
-      if (!in_prefix_[static_cast<std::size_t>(other)]) continue;
-      for (std::size_t k = 0; k < static_cast<std::size_t>(edges_[i].cap); ++k)
-        active_cols_.push_back(edge_col_[i] + k);
-    }
-    in_prefix_[static_cast<std::size_t>(x)] = true;
-
-    // 2. Reduce every ghost in place over the new window — the new columns
-    //    may give it a pivot (the frame holds its pre-push contents).
-    obs::count(obs::counter::cert_ghost_repushes, fr.ghosts_before.size());
-    std::size_t kept = 0;
-    for (std::size_t idx : fr.ghosts_before) {
-      const std::size_t pos = reduce_row(ghost_arena_[idx], fr.cols_before);
-      if (pos != npos)
-        insert_basis(std::vector<gfw>(ghost_arena_[idx]), pos);
-      else
-        ghosts_[kept++] = idx;  // still a ghost
-    }
-    ghosts_.resize(kept);
-
-    // 3. Insert x's rho raw rows; the ones with no pivot in the window join
-    //    the ghost arena at this depth.
-    for (std::size_t s = 0; s < rho_; ++s) {
-      std::vector<gfw> row = raw_rows_[static_cast<std::size_t>(x) * rho_ + s];
-      const std::size_t pos = reduce_row(row, fr.cols_before);
-      if (pos != npos) {
-        insert_basis(std::move(row), pos);
-      } else {
-        ghosts_.push_back(ghost_arena_.size());
-        ghost_arena_.push_back(std::move(row));
-      }
-    }
-    return fr;
-  }
-
-  void pop_node(graph::node_id x, frame&& fr) {
-    obs::count(obs::counter::cert_prefix_pops);
-    in_prefix_[static_cast<std::size_t>(x)] = false;
-    while (basis_.size() > fr.basis_before) {
-      pivot_of_col_[basis_pivot_.back()] = -1;
-      basis_pivot_.pop_back();
-      basis_.pop_back();
-    }
-    active_cols_.resize(fr.cols_before);
-    ghost_arena_.resize(fr.arena_before);
-    for (std::size_t i = 0; i < fr.ghosts_before.size(); ++i)
-      ghost_arena_[fr.ghosts_before[i]] = std::move(fr.ghost_rows_before[i]);
-    ghosts_ = std::move(fr.ghosts_before);
-  }
-
-  void dfs(std::size_t start, certification& out) {
-    if (current_.size() == target_) {
-      obs::count(obs::counter::cert_subgraphs);
-      if (basis_.size() != (target_ - 1) * rho_) {
-        out.ok = false;
-        out.failing.push_back(current_);
-      }
-      return;
-    }
-    if (nodes_.size() - start < target_ - current_.size()) return;
-    for (std::size_t i = start; i < nodes_.size(); ++i) {
-      const graph::node_id x = nodes_[i];
-      bool clean = true;
-      for (graph::node_id chosen : current_)
-        if (disputes_.in_dispute(chosen, x)) {
-          clean = false;
-          break;
-        }
-      if (!clean) continue;
-      frame fr = push_node(x);
-      current_.push_back(x);
-      dfs(i + 1, out);
-      current_.pop_back();
-      pop_node(x, std::move(fr));
-    }
-  }
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  const dispute_record& disputes_;
-  const std::size_t rho_;
-  const std::vector<graph::node_id> nodes_;
-  const std::size_t target_;
-
-  std::vector<graph::edge> edges_;
-  std::vector<std::size_t> edge_col_;
-  std::size_t total_cols_ = 0;
-  std::vector<std::vector<std::size_t>> edges_with_;
-  std::vector<std::vector<gfw>> raw_rows_;
-
-  std::vector<std::size_t> active_cols_;   // activation order
-  std::vector<int> pivot_of_col_;
-  std::vector<std::vector<gfw>> basis_;    // append-only along a DFS path
-  std::vector<std::size_t> basis_pivot_;
-  std::vector<std::size_t> ghosts_;        // live ghost indices into the arena
-  std::vector<std::vector<gfw>> ghost_arena_;
-  std::vector<bool> in_prefix_;
-  std::vector<graph::node_id> current_;
+/// The reduced all-active-blocks matrix and the column bookkeeping every
+/// member's downdate reads.
+struct reduced_blocks {
+  gf::matrix<gf::gf2_16> m;
+  std::size_t rank = 0;
+  std::vector<int> pivot_row_of;                 // column -> RREF row, or -1
+  std::vector<std::size_t> free_cols;            // non-pivot columns, ascending
+  std::vector<std::vector<std::size_t>> node_cols;  // node -> incident columns
 };
 
-}  // namespace
-
-namespace {
-
-/// The shared factorization pays off when the subgraph matrices are
-/// column-limited for most of the DFS (sparse graphs: the hypercube and
-/// WAN families run ~2x faster than independent eliminations). On dense
-/// graphs the mid-depth ghost population churns more than per-H
-/// elimination costs, so the naive path (itself running on the batched
-/// axpy kernels) wins there. The measured crossover sits around
-/// directed-edge density 0.4 for every registry topology.
-bool dense_graph(const graph::digraph& g) {
-  const std::size_t n = g.active_nodes().size();
-  if (n < 2) return true;
-  const double density = static_cast<double>(g.edges().size()) /
-                         (static_cast<double>(n) * static_cast<double>(n - 1));
-  return density > 0.4;
-}
-
-/// The f = 1 leave-one-out shape: when exactly one more node is active than
-/// Omega_k's target size, every member of Omega_k is H_x = active \ {x}.
-/// One full Gauss-Jordan reduction of the all-blocks matrix M — one rho-row
-/// block per ACTIVE node over every active-edge column, the same layout as
-/// build_check_matrix but with no reference block dropped — then answers all
-/// |Omega_k| rank queries by a rank downdate each:
-///
-///  - x's block rows are supported entirely on X_x (the columns of
-///    x-incident edges), so on A_x = columns \ X_x the nonzero rows of
-///    M|A_x are exactly H_x's blocks; and since a column's two endpoint
-///    blocks coincide (characteristic 2), the all-blocks row sum vanishes
-///    per symbol, which makes H_x's reference block redundant:
-///    certified(H_x) iff rank(M|A_x) == (|H_x| - 1) rho.
-///  - In the reduced M (rank r, pivot set P), a row whose pivot lies
-///    outside X_x keeps its leading 1 on A_x with zeros above and below,
-///    while a row with pivot inside X_x is zero on every pivot column of
-///    A_x. Hence, exactly:
-///        rank(M|A_x) = (r - |P intersect X_x|) + rank(M'),
-///    where M' is the |P intersect X_x| x |free columns outside X_x|
-///    corner of the reduced matrix.
-///
-/// Cost: ONE big elimination plus one nullity-sized rank per member —
-/// versus a from-scratch elimination per member (the dense/naive path) or
-/// a DFS whose prefix sharing degenerates at this shape (every leaf differs
-/// from the next in its deepest nodes, so nearly the whole basis is torn
-/// down and rebuilt between leaves).
-certification certify_loo(const graph::digraph& g, std::size_t target,
-                          const dispute_record& disputes,
-                          const coding_scheme& coding) {
-  certification out;
-  out.ok = true;
-  const std::vector<graph::node_id> active = g.active_nodes();
+reduced_blocks reduce_all_blocks(const graph::digraph& g,
+                                 const std::vector<graph::node_id>& active,
+                                 const coding_scheme& coding, int jobs) {
   const std::size_t rho = static_cast<std::size_t>(coding.rho());
-  NAB_ASSERT(target >= 2 && active.size() == target + 1,
-             "certify_loo requires the leave-one-out shape");
-
-  // Membership first: H_x is dispute-free iff x covers every disputed pair
-  // of active nodes, so the members are the intersection of those pairs
-  // (everyone when no pair is intra-active). No members means a vacuously
-  // certified Omega_k — return before paying for any elimination.
-  std::vector<bool> active_mask(static_cast<std::size_t>(g.universe()), false);
-  std::vector<bool> member(static_cast<std::size_t>(g.universe()), false);
-  for (graph::node_id v : active) {
-    active_mask[static_cast<std::size_t>(v)] = true;
-    member[static_cast<std::size_t>(v)] = true;
-  }
-  std::size_t member_count = active.size();
-  for (const auto& [a, b] : disputes.pairs()) {
-    if (!active_mask[static_cast<std::size_t>(a)] ||
-        !active_mask[static_cast<std::size_t>(b)])
-      continue;  // a pair with an inactive endpoint is never intra-H
-    for (graph::node_id v : active) {
-      if (v == a || v == b || !member[static_cast<std::size_t>(v)]) continue;
-      member[static_cast<std::size_t>(v)] = false;
-      --member_count;
-    }
-  }
-  if (member_count == 0) return out;
-
-  // The all-blocks matrix, plus each node's incident column list (= X_x).
   const std::vector<graph::edge> edges = g.edges();
   std::vector<int> pos(static_cast<std::size_t>(g.universe()), -1);
   for (std::size_t i = 0; i < active.size(); ++i)
     pos[static_cast<std::size_t>(active[i])] = static_cast<int>(i);
   std::size_t total_cols = 0;
   for (const graph::edge& e : edges) total_cols += static_cast<std::size_t>(e.cap);
-  gf::matrix<gf::gf2_16> m(active.size() * rho, total_cols);
-  std::vector<std::vector<std::size_t>> node_cols(
-      static_cast<std::size_t>(g.universe()));
+
+  reduced_blocks out;
+  out.m = gf::matrix<gf::gf2_16>(active.size() * rho, total_cols);
+  out.node_cols.assign(static_cast<std::size_t>(g.universe()), {});
   std::size_t col = 0;
   for (const graph::edge& e : edges) {
     const auto& ce = coding.matrix_for(e.from, e.to);
@@ -405,165 +46,118 @@ certification certify_loo(const graph::digraph& g, std::size_t target,
     const int pj = pos[static_cast<std::size_t>(e.to)];
     NAB_ASSERT(pi >= 0 && pj >= 0, "active edge with an inactive endpoint");
     for (std::size_t k = 0; k < ce.cols(); ++k, ++col) {
-      node_cols[static_cast<std::size_t>(e.from)].push_back(col);
-      node_cols[static_cast<std::size_t>(e.to)].push_back(col);
+      out.node_cols[static_cast<std::size_t>(e.from)].push_back(col);
+      out.node_cols[static_cast<std::size_t>(e.to)].push_back(col);
       for (std::size_t s = 0; s < rho; ++s) {
         const gfw c = ce.at(s, k);
-        m.at(static_cast<std::size_t>(pi) * rho + s, col) = c;
-        m.at(static_cast<std::size_t>(pj) * rho + s, col) = c;
+        out.m.at(static_cast<std::size_t>(pi) * rho + s, col) = c;
+        out.m.at(static_cast<std::size_t>(pj) * rho + s, col) = c;
       }
     }
   }
 
   std::vector<std::size_t> pivot_cols;
-  const std::size_t r = gf::row_reduce(m, &pivot_cols);
-  std::vector<int> pivot_row_of(total_cols, -1);
+  out.rank = gf::row_reduce(out.m, &pivot_cols, jobs);
+  out.pivot_row_of.assign(total_cols, -1);
   for (std::size_t i = 0; i < pivot_cols.size(); ++i)
-    pivot_row_of[pivot_cols[i]] = static_cast<int>(i);
-  std::vector<std::size_t> free_cols;
-  free_cols.reserve(total_cols - r);
+    out.pivot_row_of[pivot_cols[i]] = static_cast<int>(i);
+  out.free_cols.reserve(total_cols - out.rank);
   for (std::size_t c = 0; c < total_cols; ++c)
-    if (pivot_row_of[c] < 0) free_cols.push_back(c);
-
-  // Leave-out index DESCENDING over the sorted active list, so failing
-  // subgraphs appear in the naive certifier's lexicographic subset order
-  // (omitting a larger node yields a lex-smaller subset).
-  const std::size_t need = (target - 1) * rho;
-  std::vector<bool> in_x(total_cols, false);
-  for (std::size_t i = active.size(); i-- > 0;) {
-    const graph::node_id x = active[i];
-    if (!member[static_cast<std::size_t>(x)]) continue;
-    obs::count(obs::counter::cert_subgraphs);
-    obs::count(obs::counter::cert_loo_downdates);
-    const std::vector<std::size_t>& xcols =
-        node_cols[static_cast<std::size_t>(x)];
-    for (std::size_t c : xcols) in_x[c] = true;
-    std::vector<std::size_t> piv_rows;
-    for (std::size_t c : xcols)
-      if (pivot_row_of[c] >= 0)
-        piv_rows.push_back(static_cast<std::size_t>(pivot_row_of[c]));
-    std::vector<std::size_t> sub_cols;
-    for (std::size_t c : free_cols)
-      if (!in_x[c]) sub_cols.push_back(c);
-    gf::matrix<gf::gf2_16> sub(piv_rows.size(), sub_cols.size());
-    for (std::size_t rr = 0; rr < piv_rows.size(); ++rr)
-      for (std::size_t cc = 0; cc < sub_cols.size(); ++cc)
-        sub.at(rr, cc) = m.at(piv_rows[rr], sub_cols[cc]);
-    const std::size_t rank_a = r - piv_rows.size() + gf::rank(std::move(sub));
-    for (std::size_t c : xcols) in_x[c] = false;
-    if (rank_a != need) {
-      out.ok = false;
-      std::vector<graph::node_id> h;
-      h.reserve(target);
-      for (graph::node_id v : active)
-        if (v != x) h.push_back(v);
-      out.failing.push_back(std::move(h));
-    }
-  }
+    if (out.pivot_row_of[c] < 0) out.free_cols.push_back(c);
   return out;
 }
 
 }  // namespace
 
-certification certify_coding_batched(const graph::digraph& g, int f,
-                                     const dispute_record& disputes,
-                                     const coding_scheme& coding) {
-  const int target = g.universe() - f;
-  if (target >= 2 && g.active_count() == target + 1)
-    return certify_loo(g, static_cast<std::size_t>(target), disputes, coding);
-  if (dense_graph(g)) return certify_coding(g, f, disputes, coding);
-  batched_certifier certifier(g, f, disputes, coding);
-  return certifier.run();
+certification certify_coding(const graph::digraph& g, int f,
+                             const dispute_record& disputes,
+                             const coding_scheme& coding, int jobs) {
+  certification out;
+  out.ok = true;
+  // No member (or single-node members, with nothing to distinguish) means a
+  // vacuously certified Omega_k: return before paying for the elimination.
+  const auto omega = omega_subgraphs(g, f, disputes);
+  if (omega.empty() || omega.front().size() < 2) return out;
+
+  const std::vector<graph::node_id> active = g.active_nodes();
+  const reduced_blocks rb = reduce_all_blocks(g, active, coding, jobs);
+  const std::size_t need =
+      (omega.front().size() - 1) * static_cast<std::size_t>(coding.rho());
+
+  std::vector<bool> in_h(static_cast<std::size_t>(g.universe()), false);
+  std::vector<bool> in_x(rb.m.cols(), false);
+  std::vector<std::size_t> xcols, piv_rows, sub_cols;
+  for (const auto& h : omega) {
+    obs::count(obs::counter::cert_subgraphs);
+    obs::count(obs::counter::cert_loo_downdates);
+    // X_S: the columns incident to S = active \ H (an edge between two S
+    // nodes is listed once).
+    for (graph::node_id v : h) in_h[static_cast<std::size_t>(v)] = true;
+    xcols.clear();
+    for (graph::node_id x : active) {
+      if (in_h[static_cast<std::size_t>(x)]) continue;
+      for (std::size_t c : rb.node_cols[static_cast<std::size_t>(x)])
+        if (!in_x[c]) {
+          in_x[c] = true;
+          xcols.push_back(c);
+        }
+    }
+    for (graph::node_id v : h) in_h[static_cast<std::size_t>(v)] = false;
+
+    piv_rows.clear();
+    for (std::size_t c : xcols)
+      if (rb.pivot_row_of[c] >= 0)
+        piv_rows.push_back(static_cast<std::size_t>(rb.pivot_row_of[c]));
+    sub_cols.clear();
+    for (std::size_t c : rb.free_cols)
+      if (!in_x[c]) sub_cols.push_back(c);
+    gf::matrix<gf::gf2_16> corner(piv_rows.size(), sub_cols.size());
+    for (std::size_t i = 0; i < piv_rows.size(); ++i)
+      for (std::size_t j = 0; j < sub_cols.size(); ++j)
+        corner.at(i, j) = rb.m.at(piv_rows[i], sub_cols[j]);
+    const std::size_t rank_h = rb.rank - piv_rows.size() + gf::rank(std::move(corner));
+    for (std::size_t c : xcols) in_x[c] = false;
+
+    if (rank_h != need) {
+      out.ok = false;
+      out.failing.push_back(h);
+    }
+  }
+  return out;
 }
 
 std::uint64_t certify_cost_estimate(
     const graph::digraph& g, const std::vector<std::vector<graph::node_id>>& omega,
     int rho) {
-  if (omega.empty()) return 0;
+  if (omega.empty() || omega.front().size() < 2) return 0;
   const auto rho_u = static_cast<std::uint64_t>(rho);
-  const std::vector<graph::node_id> active = g.active_nodes();
-  std::uint64_t total_cols = 0;
-  for (const graph::edge& e : g.edges())
-    total_cols += static_cast<std::uint64_t>(e.cap);
-
-  // Leave-one-out shape: ONE Gauss-Jordan of the all-blocks matrix plus a
-  // nullity-sized corner elimination per member — not |omega| independent
-  // eliminations. Pricing it as per-H work overstates the cost ~|omega|-fold
-  // and wrongly gates exactly the presets the downdate path makes cheap.
-  const std::size_t target = omega.front().size();
-  if (target >= 2 && active.size() == target + 1) {
-    const std::uint64_t rows = active.size() * rho_u;
-    // Rank tops out rho short of full: the per-symbol all-blocks row sums
-    // vanish (each column's two endpoint blocks coincide over GF(2^16)).
-    const std::uint64_t r = std::min(rows - rho_u, total_cols);
-    // Gauss-Jordan words: every pivot eliminates from ~all rows over a tail
-    // that shrinks one column per pivot.
-    std::uint64_t cost = rows * (r * total_cols - r * r / 2);
-    const std::uint64_t nfree = total_cols - r;
-    std::vector<std::uint64_t> incident_cols(
-        static_cast<std::size_t>(g.universe()), 0);
-    std::uint64_t active_sum = 0;
-    for (const graph::edge& e : g.edges()) {
-      incident_cols[static_cast<std::size_t>(e.from)] +=
-          static_cast<std::uint64_t>(e.cap);
-      incident_cols[static_cast<std::size_t>(e.to)] +=
-          static_cast<std::uint64_t>(e.cap);
-    }
-    for (graph::node_id v : active) active_sum += static_cast<std::uint64_t>(v);
-    for (const auto& h : omega) {
-      // The left-out node is the one active node missing from h.
-      std::uint64_t h_sum = 0;
-      for (graph::node_id v : h) h_sum += static_cast<std::uint64_t>(v);
-      const auto x = static_cast<std::size_t>(active_sum - h_sum);
-      // Pivot columns land roughly uniformly, so ~r/total_cols of x's
-      // incident columns carry one — min(|X_x|, r) alone overstates the
-      // corner size ~|omega|-fold on sparse graphs, where r << total_cols.
-      const std::uint64_t px =
-          std::min(incident_cols[x],
-                   std::max<std::uint64_t>(
-                       1, total_cols == 0 ? 0 : r * incident_cols[x] / total_cols));
-      const std::uint64_t sub_r = std::min(px, nfree);
-      cost += px * (sub_r * nfree - sub_r * sub_r / 2);
-    }
-    return cost;
+  std::uint64_t cols = 0;
+  std::vector<std::uint64_t> incident(static_cast<std::size_t>(g.universe()), 0);
+  for (const graph::edge& e : g.edges()) {
+    const auto cap = static_cast<std::uint64_t>(e.cap);
+    cols += cap;
+    incident[static_cast<std::size_t>(e.from)] += cap;
+    incident[static_cast<std::size_t>(e.to)] += cap;
   }
+  // The all-blocks Gauss-Jordan: rank tops out rho short of full (per
+  // symbol the block rows sum to zero), and every pivot eliminates from
+  // ~all rows over a tail that shrinks one column per pivot.
+  const std::uint64_t rows = static_cast<std::uint64_t>(g.active_count()) * rho_u;
+  const std::uint64_t r = std::min(rows - rho_u, cols);
+  std::uint64_t cost = rows * (r * cols - r * r / 2);
 
-  if (dense_graph(g)) {
-    // Naive path: a from-scratch Gauss-Jordan of each member's check matrix.
-    std::uint64_t cost = 0;
-    for (const auto& h : omega) {
-      if (h.size() <= 1) continue;
-      const std::uint64_t rows = (h.size() - 1) * rho_u;
-      std::uint64_t cols = 0;
-      for (const graph::edge& e : g.induced(h).edges())
-        cols += static_cast<std::uint64_t>(e.cap);
-      const std::uint64_t r = std::min(rows, cols);
-      cost += rows * (r * cols - r * r / 2);
-    }
-    return cost;
-  }
-
-  // Sparse DFS path: the certifier pays per prefix PUSH, not per leaf, and
-  // the lexicographic walk shares every common prefix — which the LCP of
-  // consecutive omega members reproduces exactly. A push reduces ~2 rho
-  // rows (rho raw + rho ghosts) against the pivots of its fresh column
-  // window, each reduction a full-width axpy.
-  std::uint64_t cost = 0;
-  const std::vector<graph::node_id>* prev = nullptr;
+  // One corner per member: ~r/cols of X_S's columns carry a pivot (pivots
+  // land roughly uniformly), against the cols - r free columns.
+  const std::uint64_t nfree = cols - r;
   for (const auto& h : omega) {
-    std::size_t lcp = 0;
-    if (prev != nullptr)
-      while (lcp < h.size() && lcp < prev->size() && (*prev)[lcp] == h[lcp])
-        ++lcp;
-    for (std::size_t p = lcp; p < h.size(); ++p) {
-      std::uint64_t new_cols = 0;
-      for (std::size_t q = 0; q < p; ++q)
-        new_cols += static_cast<std::uint64_t>(g.cap(h[p], h[q])) +
-                    static_cast<std::uint64_t>(g.cap(h[q], h[p]));
-      const std::uint64_t window = std::min(new_cols, 2 * rho_u);
-      cost += 2 * rho_u * window * total_cols + rho_u * total_cols;
-    }
-    prev = &h;
+    // |X_S| from the incidences H's nodes leave over (every column has two).
+    std::uint64_t in_h = 0;
+    for (graph::node_id v : h) in_h += incident[static_cast<std::size_t>(v)];
+    const std::uint64_t xs = std::min(cols, 2 * cols - in_h);
+    const std::uint64_t px =
+        xs == 0 ? 0 : std::min(xs, std::max<std::uint64_t>(1, r * xs / cols));
+    const std::uint64_t sub_r = std::min(px, nfree);
+    cost += px * (sub_r * nfree - sub_r * sub_r / 2);
   }
   return cost;
 }

@@ -4,7 +4,6 @@
 
 #include "core/coding.hpp"
 #include "core/omega.hpp"
-#include "gf/matrix.hpp"
 #include "graph/digraph.hpp"
 
 namespace nab::core {
@@ -12,65 +11,51 @@ namespace nab::core {
 /// Result of certifying a coding scheme against Theorem 1's condition.
 struct certification {
   bool ok = false;
-  /// Subgraphs H in Omega_k whose check matrix C_H is rank-deficient (empty
-  /// when ok).
+  /// Subgraphs H in Omega_k whose check matrix C_H is rank-deficient, in
+  /// Omega_k order (empty when ok).
   std::vector<std::vector<graph::node_id>> failing;
 };
 
-/// Builds the paper's C_H matrix (Appendix C.1) for one candidate fault-free
-/// subgraph H: rows indexed by (node-position, symbol) with the last node of
-/// `h` as the reference, one column per capacity unit of every directed edge
-/// of g inside H. In characteristic 2 the +C_e / -C_e blocks coincide.
-gf::matrix<gf::gf2_16> build_check_matrix(const graph::digraph& g,
-                                          const std::vector<graph::node_id>& h,
-                                          const coding_scheme& coding);
-
 /// Deterministically certifies the Equality Check property (EC): for every
 /// H in Omega_k, D_H C_H = 0 must imply D_H = 0, i.e. rank(C_H) =
-/// (n-f-1) * rho. Theorem 1 shows random matrices satisfy this with
-/// probability >= 1 - 2^{-L/rho} C(n, n-f) (n-f-1) rho; this routine turns
-/// the probabilistic statement into a checked certificate, so a deployment
-/// can regenerate with a fresh seed on the (astronomically rare) failure.
+/// (|H|-1) * rho (Appendix C.1). Theorem 1 shows random matrices satisfy
+/// this with probability >= 1 - 2^{-L/rho} C(n, n-f) (n-f-1) rho; this
+/// routine turns the probabilistic statement into a checked certificate, so
+/// a deployment can regenerate with a fresh seed on the (astronomically
+/// rare) failure.
+///
+/// One elimination answers every member, by a rank downdate. Let M be the
+/// all-active-blocks matrix: one rho-row block per ACTIVE node over the
+/// columns of every edge (a column carries C_e in both endpoint blocks,
+/// which coincide with the paper's +C_e / -C_e in characteristic 2). Every
+/// member is H = active \ S, and:
+///
+///  - S's block rows are supported only on X_S, the columns of edges
+///    incident to S. So on A_S = columns \ X_S — exactly C_H's columns — the
+///    nonzero rows of M|A_S are H's blocks. Per symbol those blocks sum to
+///    zero on every A_S column, so H's reference block is redundant:
+///    rank(C_H) = rank(M|A_S).
+///  - In the reduced M (RREF, rank r, pivot set P), a row whose pivot lies
+///    outside X_S keeps its leading 1 on A_S with zeros above and below it,
+///    while a row with pivot inside X_S is zero on every pivot column of
+///    A_S. Hence, exactly:
+///        rank(M|A_S) = (r - |P intersect X_S|) + rank(corner),
+///    where the corner is the |P intersect X_S| rows of the reduced M
+///    restricted to its free columns outside X_S.
+///
+/// So M is built and reduced once — a blocked, row-parallel Gauss-Jordan
+/// (gf::row_reduce) on `jobs` workers — and each member costs one rank of
+/// a corner about |X_S| x (columns - r). Verdicts and the failing list are
+/// byte-identical to an independent elimination of every C_H (the per-H
+/// oracle in tests/) and to any `jobs`.
 certification certify_coding(const graph::digraph& g, int f,
                              const dispute_record& disputes,
-                             const coding_scheme& coding);
+                             const coding_scheme& coding, int jobs = 1);
 
-/// The same certificate, computed with one incremental factorization shared
-/// across all of Omega_k instead of an independent rank elimination per H.
-///
-/// Key fact (Appendix C.1): a left null vector D_H = (d_v)_{v in H} of C_H
-/// is exactly an assignment of rho-vectors to H's nodes with
-/// (d_u + d_v) C_e = 0 on every intra-H edge, so rank(C_H) = (|H|-1) rho
-/// iff the only null vectors are the constant assignments. That condition
-/// depends on rows "per node" and columns "per edge", both shared between
-/// overlapping subgraphs — so Omega_k is walked as a DFS over lexicographic
-/// prefixes, maintaining an append-only reduced row basis: pushing a node
-/// activates its intra-prefix edge columns and inserts its rho rows,
-/// backtracking truncates. Each H then costs one node-extension
-/// (~rho * rows * cols field ops) instead of a from-scratch elimination
-/// (~rows^2 * cols), an (n-f)-fold saving that makes K_16-class
-/// certification affordable.
-///
-/// Two shapes dispatch away from the DFS. The f = 1 leave-one-out shape
-/// (exactly one more active node than the target size) runs ONE reduction
-/// of the all-active-blocks matrix and answers each member H_x by a rank
-/// downdate over x's columns — the shape where DFS prefix sharing is worth
-/// the least and where the per-H work is the largest (K_64-complete,
-/// n = 128). Dense graphs otherwise fall back to per-H eliminations (the
-/// naive path on the batched kernels). Results are bit-identical across
-/// all paths (the per-H verdicts and their order); tests cross-check them.
-certification certify_coding_batched(const graph::digraph& g, int f,
-                                     const dispute_record& disputes,
-                                     const coding_scheme& coding);
-
-/// Estimated GF *word* count of certify_coding_batched over this Omega_k —
-/// mirrors its full three-way dispatch so cost gates price the path that
-/// will actually run: leave-one-out (one all-blocks Gauss-Jordan plus a
-/// nullity-sized corner rank per member), dense/naive (a from-scratch
-/// elimination per member), or the sparse DFS (per prefix-push work,
-/// reconstructed from the LCP structure of omega's lexicographic order).
-/// Comparable to the measured gf_axpy_words + gf_scale_words of a
-/// certification run within a small constant factor (pinned by tests).
+/// Estimated GF *word* count of certify_coding over this Omega_k: one
+/// Gauss-Jordan of the all-active-blocks matrix plus one corner rank per
+/// member. Comparable to the measured gf_axpy_words + gf_scale_words of a
+/// certification within a small constant factor (pinned by tests).
 std::uint64_t certify_cost_estimate(const graph::digraph& g,
                                     const std::vector<std::vector<graph::node_id>>& omega,
                                     int rho);

@@ -1,8 +1,10 @@
 #include "core/omega.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "graph/mincut.hpp"
+#include "runtime/executor.hpp"
 #include "util/assert.hpp"
 
 namespace nab::core {
@@ -90,23 +92,29 @@ bool induced_connected(const graph::ugraph& u, const std::vector<graph::node_id>
 }  // namespace
 
 graph::capacity_t compute_uk(const graph::digraph& g,
-                             const std::vector<std::vector<graph::node_id>>& omega) {
+                             const std::vector<std::vector<graph::node_id>>& omega,
+                             int jobs) {
   if (omega.empty()) return 0;
   const graph::ugraph u = to_undirected(g);
-  graph::capacity_t best = -1;
-  for (const auto& h : omega) {
-    if (h.size() < 2) return 0;
-    if (!induced_connected(u, h)) return 0;  // cut 0: nothing can be smaller
+  // A cut of 0 is the minimum, so once one H yields it the remaining
+  // subgraphs are skipped (their slots stay 0); the min-fold is
+  // order-independent either way.
+  std::vector<graph::capacity_t> cuts(omega.size(), 0);
+  std::atomic<bool> zero{false};
+  runtime::parallel_for_each_index(jobs, omega.size(), [&](std::size_t i) {
+    if (zero.load(std::memory_order_relaxed)) return;
+    const auto& h = omega[i];
     // Per-H minimum pair cut via Stoer–Wagner. A Gomory–Hu-tree query
     // (gomory_hu_tree(u.induced(h)).minimum_pair_cut()) answers the same
     // question but measured 3-12x slower across every registry topology —
     // Gusfield's |H|-1 max-flows lose to one dense O(|H|^3) pass at these
     // sizes — so the tree stays on the per-pair reporting path only (see
     // docs/PAPER_MAP.md, "Choice of rho_k").
-    const graph::capacity_t cut = graph::pairwise_min_cut(u.induced(h));
-    if (best < 0 || cut < best) best = cut;
-  }
-  return best < 0 ? 0 : best;
+    if (h.size() >= 2 && induced_connected(u, h))
+      cuts[i] = graph::pairwise_min_cut(u.induced(h));
+    if (cuts[i] == 0) zero.store(true, std::memory_order_relaxed);
+  });
+  return *std::min_element(cuts.begin(), cuts.end());
 }
 
 graph::capacity_t compute_uk(const graph::digraph& g, int f,

@@ -57,9 +57,12 @@ graph::capacity_t compute_uk(const graph::digraph& g, int f,
                              const dispute_record& disputes);
 
 /// Same minimum over an already-enumerated Omega_k (the omega_cache layer
-/// computes the enumeration once and derives U_k from it).
+/// computes the enumeration once and derives U_k from it). The per-H cuts
+/// fan out over `jobs` workers into preallocated slots before the min-fold,
+/// so the result is the same for every worker count.
 graph::capacity_t compute_uk(const graph::digraph& g,
-                             const std::vector<std::vector<graph::node_id>>& omega);
+                             const std::vector<std::vector<graph::node_id>>& omega,
+                             int jobs = 1);
 
 /// rho_k = max(U_k / 2, 1): the paper requires rho_k <= U_k / 2 and
 /// minimizes Equality Check time at equality; the floor at 1 keeps the

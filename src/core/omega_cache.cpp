@@ -174,7 +174,7 @@ std::shared_ptr<const omega_analysis> omega_cache::analyze(
                         "omega_cache/fill_analysis", [&] {
                           auto value = std::make_shared<omega_analysis>();
                           value->omega = omega_subgraphs(g, f, disputes);
-                          value->uk = compute_uk(g, value->omega);
+                          value->uk = compute_uk(g, value->omega, fill_jobs(g));
                           value->rho = compute_rho(value->uk);
                           value->certify_cost = certify_cost_estimate(
                               g, value->omega, static_cast<int>(value->rho));

@@ -100,13 +100,18 @@ class omega_cache {
 
   omega_cache_stats stats() const;
 
-  /// Worker count a filling thread may use for the per-pair/per-tree inner
-  /// loops of plan/route fills (<= 1 disables). Results are order-independent
-  /// writes into preallocated slots, so fills are byte-identical for every
-  /// value; the sweep runner wires its --jobs here. Fills on universes below
-  /// 32 nodes always run inline (thread spawns would dominate, and the clean
-  /// K_7 allocation budget stays untouched).
+  /// The set-up worker count (<= 1 disables): the per-H U_k cuts of
+  /// analysis fills, the per-sink/per-source loops of plan/route fills, and
+  /// the session's certification elimination fan out over it. Results are
+  /// order-independent writes into preallocated slots (or an exact
+  /// elimination), so they are byte-identical for every value; the sweep
+  /// runner wires its --jobs here.
   void set_fill_parallelism(int jobs);
+
+  /// The worker count set-up work on `g` may use. Universes below 32 nodes
+  /// always run inline (thread spawns would dominate, and the clean K_7
+  /// allocation budget stays untouched).
+  int fill_jobs(const graph::digraph& g) const;
 
   /// Drops every entry and zeroes the counters (tests, sweep boundaries).
   void clear();
@@ -148,9 +153,6 @@ class omega_cache {
                                           std::atomic<std::uint64_t>& misses,
                                           const char* fill_span,
                                           const Compute& compute);
-
-  /// Inner-loop worker count for the current fill (see set_fill_parallelism).
-  int fill_jobs(const graph::digraph& g) const;
 
   mutable std::shared_mutex mu_;
   std::mutex inflight_mu_;

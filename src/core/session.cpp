@@ -64,9 +64,9 @@ void session::refresh_graph_state() {
   // makes failure vanishingly unlikely; regeneration with a fresh seed is
   // the correct response when it does happen. When the rank checks would be
   // prohibitively large (rho_k scales with link capacities) we trust the
-  // theorem instead of certifying. The estimate mirrors the batched
-  // certifier's leave-one-out / dense / DFS dispatch, so the gate prices
-  // the path that will actually run; it is cached with the analysis.
+  // theorem instead of certifying. The estimate prices the certifier's one
+  // elimination plus a corner rank per member; it is cached with the
+  // analysis. Certification runs on the set-up worker count.
   bool certify = cfg_.certify;
   if (certify && analysis_->certify_cost > cfg_.certify_cost_limit)
     certify = false;
@@ -81,7 +81,9 @@ void session::refresh_graph_state() {
     bool certified = false;
     {
       obs::scoped_span cert_span("certify");
-      certified = certify_coding_batched(gk_, cfg_.f, record_, coding_).ok;
+      certified = certify_coding(gk_, cfg_.f, record_, coding_,
+                                 omega_cache::instance().fill_jobs(gk_))
+                      .ok;
     }
     if (certified) break;
     if (attempt >= 8)

@@ -1,10 +1,14 @@
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <optional>
 #include <vector>
 
 #include "gf/matrix.hpp"
 #include "obs/obs.hpp"
+#include "runtime/executor.hpp"
 
 namespace nab::gf {
 
@@ -42,41 +46,170 @@ void row_scale(typename F::value_type* v, typename F::value_type coeff,
   }
 }
 
+/// Panel width of row_reduce's blocked elimination: a fixed function of the
+/// shape, never of the worker count or the CPU, so a matrix always takes the
+/// same arithmetic path. Matrices under 2^20 words (2 MiB) keep one pivot
+/// per panel — the plain Gauss-Jordan loop, word for word — because a wider
+/// panel only pays once the matrix stops fitting in a core's cache.
+inline std::size_t panel_width(std::size_t rows, std::size_t cols) {
+  return rows * cols >= (std::size_t{1} << 20) ? 32 : 1;
+}
+
 }  // namespace detail
 
-/// In-place reduction to row echelon form by Gaussian elimination.
-/// Returns the rank; `pivot_cols`, if non-null, receives the pivot column of
-/// each nonzero row. O(rows * cols * min(rows, cols)) field operations; the
-/// inner loops run on the field's batched row kernels when it provides them.
+/// In-place Gauss-Jordan reduction to reduced row echelon form. Returns the
+/// rank; `pivot_cols`, if non-null, receives the pivot column of each
+/// nonzero row. Rows [0, rank) end up as the RREF rows in pivot order, the
+/// rest as zero rows.
+///
+/// Blocked, right-looking elimination over panels of detail::panel_width
+/// columns:
+///  - Panel: the unreduced rows' entries on the panel columns are copied
+///    into a narrow slab, where the panel's pivots are found by a lazy
+///    scalar elimination (a row is brought up to date only when examined).
+///  - The chosen pivot rows move up to [rank, rank + b) and are reduced to
+///    RREF among themselves over full width.
+///  - Trailing update: every other row, above and below, takes
+///    row += row[c_k] * F_k over the panel's pivot rows F_k, so each row is
+///    read and written once per panel while the b pivot rows stay in cache.
+///    With jobs > 1 the rows are fanned out over
+///    runtime::parallel_for_each_index.
+/// The RREF of a matrix is unique, so the result is byte-identical for any
+/// panel width and worker count. The update's kernel words are charged on
+/// the calling thread, so the GF counters are the same for every `jobs`.
 template <class F>
-std::size_t row_reduce(matrix<F>& m, std::vector<std::size_t>* pivot_cols = nullptr) {
+std::size_t row_reduce(matrix<F>& m, std::vector<std::size_t>* pivot_cols = nullptr,
+                       int jobs = 1) {
   using V = typename F::value_type;
   const std::size_t rows = m.rows();
   const std::size_t cols = m.cols();
+  const std::size_t width = detail::panel_width(rows, cols);
+  // Below this many words a panel's trailing update runs inline: starting
+  // threads (~0.1-0.3 ms) would cost more than they save.
+  constexpr std::size_t fan_out_words = std::size_t{1} << 23;
+  constexpr std::size_t unloaded = static_cast<std::size_t>(-1);
+
+  std::vector<V> slab;            // unreduced rows x panel columns
+  std::vector<std::size_t> src;   // slab row -> matrix row
+  std::vector<std::size_t> seen;  // slab row -> panel pivots applied to it
+  std::vector<std::size_t> piv;   // the panel's pivot columns (absolute)
   std::size_t rank = 0;
-  for (std::size_t col = 0; col < cols && rank < rows; ++col) {
-    // Find a pivot in this column at or below `rank`.
-    std::size_t pivot = rank;
-    while (pivot < rows && m.at(pivot, col) == F::zero()) ++pivot;
-    if (pivot == rows) continue;
-    // Swap the pivot row up.
-    if (pivot != rank)
-      for (std::size_t c = col; c < cols; ++c) std::swap(m.at(pivot, c), m.at(rank, c));
-    // Normalize the pivot row from the pivot column on (everything left of
-    // it is already zero in both rows).
-    const std::size_t tail = cols - col;
-    V* prow = m.row_ptr(rank) + col;
-    detail::row_scale<F>(prow, F::inv(prow[0]), tail);
-    // Eliminate the column from every other row.
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (r == rank) continue;
-      V* row = m.row_ptr(r) + col;
-      const V factor = row[0];
-      if (factor == F::zero()) continue;
-      detail::row_axpy<F>(row, prow, F::neg(factor), tail);
+  for (std::size_t c0 = 0; c0 < cols && rank < rows; c0 += width) {
+    const std::size_t w = std::min(width, cols - c0);
+    const std::size_t low = rows - rank;
+    slab.resize(low * w);
+    src.resize(low);
+    std::iota(src.begin(), src.end(), rank);
+    seen.assign(low, unloaded);
+
+    // 1. Panel: slab rows [0, b) are the pivots found so far, in echelon
+    //    form with unit leading entries. A row is copied into the slab only
+    //    when first examined, so a dense column costs one row, not all.
+    piv.clear();
+    for (std::size_t j = 0; j < w && piv.size() < low; ++j) {
+      const std::size_t b = piv.size();
+      std::size_t p = b;
+      for (; p < low; ++p) {
+        V* row = slab.data() + p * w;
+        if (seen[p] == unloaded) {
+          std::copy_n(m.row_ptr(src[p]) + c0, w, row);
+          seen[p] = 0;
+        }
+        for (; seen[p] < b; ++seen[p]) {
+          const V* prow = slab.data() + seen[p] * w;
+          const std::size_t pc = piv[seen[p]] - c0;
+          const V a = row[pc];
+          if (a == F::zero()) continue;
+          for (std::size_t c = pc; c < w; ++c)
+            row[c] = F::sub(row[c], F::mul(a, prow[c]));
+        }
+        if (row[j] != F::zero()) break;
+      }
+      if (p == low) continue;  // no pivot in this column
+      if (p != b) {
+        std::swap_ranges(slab.data() + p * w, slab.data() + (p + 1) * w,
+                         slab.data() + b * w);
+        std::swap(src[p], src[b]);
+        std::swap(seen[p], seen[b]);
+      }
+      V* prow = slab.data() + b * w;
+      const V inv = F::inv(prow[j]);
+      for (std::size_t c = j; c < w; ++c) prow[c] = F::mul(prow[c], inv);
+      piv.push_back(c0 + j);
     }
-    if (pivot_cols != nullptr) pivot_cols->push_back(col);
-    ++rank;
+    const std::size_t b = piv.size();
+    if (b == 0) continue;
+
+    // 2. Move the pivot rows to [rank, rank + b). Unreduced rows are zero
+    //    left of c0, so only their tails need swapping; a later pivot row
+    //    displaced by a swap is followed to its new place.
+    for (std::size_t k = 0; k < b; ++k) {
+      const std::size_t t = rank + k;
+      const std::size_t s = src[k];
+      if (s == t) continue;
+      std::swap_ranges(m.row_ptr(s) + c0, m.row_ptr(s) + cols, m.row_ptr(t) + c0);
+      for (std::size_t j = k + 1; j < b; ++j)
+        if (src[j] == t) src[j] = s;
+    }
+
+    //    Reduce them to RREF among themselves: forward to unit echelon
+    //    form, then back-substitute.
+    const std::size_t first = piv.front();
+    const std::size_t tail = cols - first;
+    const auto pivot_row = [&](std::size_t k) { return m.row_ptr(rank + k) + first; };
+    for (std::size_t k = 0; k < b; ++k) {
+      V* row = pivot_row(k);
+      for (std::size_t j = 0; j < k; ++j) {
+        const V a = row[piv[j] - first];
+        if (a != F::zero()) detail::row_axpy<F>(row, pivot_row(j), F::neg(a), tail);
+      }
+      detail::row_scale<F>(row, F::inv(row[piv[k] - first]), tail);
+    }
+    for (std::size_t k = b - 1; k-- > 0;) {
+      V* row = pivot_row(k);
+      for (std::size_t j = k + 1; j < b; ++j) {
+        const V a = row[piv[j] - first];
+        if (a != F::zero()) detail::row_axpy<F>(row, pivot_row(j), F::neg(a), tail);
+      }
+    }
+
+    // 3. Trailing update of every other row, in row chunks.
+    const auto update = [&](std::size_t lo, std::size_t hi) {
+      std::uint64_t words = 0;
+      for (std::size_t r = lo; r < hi; ++r) {
+        if (r >= rank && r < rank + b) continue;
+        V* row = m.row_ptr(r) + first;
+        for (std::size_t k = 0; k < b; ++k) {
+          const V a = row[piv[k] - first];
+          if (a == F::zero()) continue;
+          detail::row_axpy<F>(row, pivot_row(k), F::neg(a), tail);
+          words += tail;
+        }
+      }
+      return words;
+    };
+    if (jobs <= 1 || rows * b * tail < fan_out_words) {
+      update(0, rows);
+    } else {
+      const std::size_t chunks = std::min(rows, 4 * static_cast<std::size_t>(jobs));
+      std::vector<std::uint64_t> words(chunks, 0);
+      runtime::parallel_for_each_index(jobs, chunks, [&](std::size_t c) {
+        // Workers have no ambient collector (and a chunk may run inline on
+        // this thread): count nothing there, and charge below the words the
+        // kernels were presented — what the inline path counts. Fields
+        // without row kernels count nothing on either path.
+        obs::scoped_collector mute(nullptr);
+        words[c] = update(rows * c / chunks, rows * (c + 1) / chunks);
+      });
+      if constexpr (detail::has_row_kernels<F>) {
+        std::uint64_t total = 0;
+        for (std::uint64_t n : words) total += n;
+        obs::count(obs::counter::gf_axpy_words, total);
+      }
+    }
+
+    if (pivot_cols != nullptr) pivot_cols->insert(pivot_cols->end(), piv.begin(), piv.end());
+    rank += b;
   }
   obs::count(obs::counter::gf_rows_eliminated, rank);
   return rank;

@@ -10,9 +10,6 @@ const char* counter_name(counter c) {
     case counter::gf_scale_words: return "gf_scale_words";
     case counter::gf_mul_ops: return "gf_mul_ops";
     case counter::gf_rows_eliminated: return "gf_rows_eliminated";
-    case counter::cert_prefix_pushes: return "cert_prefix_pushes";
-    case counter::cert_prefix_pops: return "cert_prefix_pops";
-    case counter::cert_ghost_repushes: return "cert_ghost_repushes";
     case counter::cert_subgraphs: return "cert_subgraphs";
     case counter::cert_loo_downdates: return "cert_loo_downdates";
     case counter::cache_lookups: return "cache_lookups";

@@ -23,13 +23,10 @@ enum class counter : int {
   gf_axpy_words,        ///< words processed by gf2_16::axpy
   gf_scale_words,       ///< words processed by gf2_16::scale
   gf_mul_ops,           ///< scalar mul/Horner ops counted in bulk (digests)
-  gf_rows_eliminated,   ///< pivot rows established by row_reduce / certifier
-  // --- batched certifier prefix tree (core/certify) ---
-  cert_prefix_pushes,   ///< node extensions pushed onto the shared basis
-  cert_prefix_pops,     ///< node extensions rewound
-  cert_ghost_repushes,  ///< ghost rows re-reduced over a fresh column window
-  cert_subgraphs,       ///< Omega_k leaves whose rank was checked
-  cert_loo_downdates,   ///< f=1 leave-one-out rank downdates (one per member)
+  gf_rows_eliminated,   ///< pivot rows established by row_reduce
+  // --- certifier (core/certify) ---
+  cert_subgraphs,       ///< Omega_k members whose rank was checked
+  cert_loo_downdates,   ///< rank downdates of the shared elimination (one per member)
   // --- omega_cache (core/omega_cache) ---
   cache_lookups,        ///< deterministic: queries issued by this run
   cache_hits,           ///< machine: depends on cross-shard scheduling

@@ -229,9 +229,6 @@ json run_record::to_json(bool include_timing) const {
       .set("gf_scale_words", json::num(gf_scale_words))
       .set("gf_mul_ops", json::num(gf_mul_ops))
       .set("gf_rows_eliminated", json::num(gf_rows_eliminated))
-      .set("cert_prefix_pushes", json::num(cert_prefix_pushes))
-      .set("cert_prefix_pops", json::num(cert_prefix_pops))
-      .set("cert_ghost_repushes", json::num(cert_ghost_repushes))
       .set("cert_subgraphs", json::num(cert_subgraphs))
       .set("cert_loo_downdates", json::num(cert_loo_downdates))
       .set("cache_lookups", json::num(cache_lookups))

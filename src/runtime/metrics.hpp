@@ -140,11 +140,8 @@ struct run_record {
   std::uint64_t gf_scale_words = 0;
   std::uint64_t gf_mul_ops = 0;
   std::uint64_t gf_rows_eliminated = 0;
-  std::uint64_t cert_prefix_pushes = 0;
-  std::uint64_t cert_prefix_pops = 0;
-  std::uint64_t cert_ghost_repushes = 0;
   std::uint64_t cert_subgraphs = 0;
-  std::uint64_t cert_loo_downdates = 0;  ///< f=1 leave-one-out rank downdates
+  std::uint64_t cert_loo_downdates = 0;  ///< rank downdates, one per member
   std::uint64_t cache_lookups = 0;       ///< deterministic companion of hit/miss
   std::uint64_t plan_safety_checks = 0;       ///< packer certificate validations
   std::uint64_t plan_flow_augmentations = 0;  ///< packer unit augmenting paths

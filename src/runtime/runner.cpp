@@ -127,9 +127,6 @@ run_record execute_scenario(const scenario& s, int run_index,
     rec.gf_rows_eliminated = col.value(obs::counter::gf_rows_eliminated);
     rec.gf_ops = rec.gf_axpy_words + rec.gf_scale_words + rec.gf_mul_ops +
                  rec.gf_rows_eliminated;
-    rec.cert_prefix_pushes = col.value(obs::counter::cert_prefix_pushes);
-    rec.cert_prefix_pops = col.value(obs::counter::cert_prefix_pops);
-    rec.cert_ghost_repushes = col.value(obs::counter::cert_ghost_repushes);
     rec.cert_subgraphs = col.value(obs::counter::cert_subgraphs);
     rec.cert_loo_downdates = col.value(obs::counter::cert_loo_downdates);
     rec.cache_lookups = col.value(obs::counter::cache_lookups);

@@ -259,7 +259,7 @@ std::vector<scenario_family> build_registry() {
   }
 
   // --- K_16-class scaling presets (unlocked by the omega_cache layer and
-  // --- the batched certifier; see docs/RUNTIME.md). ---
+  // --- the shared-elimination certifier; see docs/RUNTIME.md). ---
   {
     scenario_family fam;
     fam.name = "k16_dense";
@@ -267,7 +267,7 @@ std::vector<scenario_family> build_registry() {
         "K_16 at f in {1,2}: the dense scaling point. Omega_k holds up to "
         "C(16,2) = 120 subgraphs and certification is a 169x182 GF(2^16) "
         "rank question per subgraph — the workload the analysis cache and "
-        "the batched certifier exist for.";
+        "the shared-elimination certifier exist for.";
     fam.topologies = {{.kind = tk::complete, .n = 16, .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {1, 2};
     fam.adversaries = {ak::honest, ak::stealth};
@@ -280,8 +280,8 @@ std::vector<scenario_family> build_registry() {
     fam.name = "hypercube_d5";
     fam.description =
         "Binary hypercube dim 5 (32 nodes, connectivity 5, f <= 2): the "
-        "structured-sparse scaling point where the column-limited batched "
-        "certifier wins. Flags run phase-king via auto_select, and the "
+        "structured-sparse scaling point. Flags run phase-king via "
+        "auto_select, and the "
         "claim backend auto-collapses at f = 2 (EIG's Theta(n^f)*L DC1 was "
         "the documented n=32 bottleneck: 12.7 GiB of claim traffic per "
         "dispute phase, now 23 MiB).";
@@ -337,8 +337,8 @@ std::vector<scenario_family> build_registry() {
     fam.description =
         "Binary hypercube dim 6 (64 nodes, connectivity 6, f <= 2): the "
         "structured-sparse n = 64 point. Omega_2 holds C(64,2) = 2016 "
-        "subgraphs; the raised certification gate keeps the rank checks "
-        "running, and the collapsed claim backend keeps dispute phases "
+        "subgraphs, each one rank downdate of a single all-blocks "
+        "elimination; the collapsed claim backend keeps dispute phases "
         "polynomial where EIG's n^f label tree could not run at all.";
     fam.topologies = {{.kind = tk::hypercube, .param_a = 6, .cap_lo = 1}};
     fam.fault_budgets = {1, 2};
@@ -350,9 +350,9 @@ std::vector<scenario_family> build_registry() {
     reg.push_back(std::move(fam));
   }
 
-  // --- Frontier presets (unlocked by the leave-one-out certifier and the
-  // --- SIMD row kernels: one all-blocks Gauss-Jordan answers every f = 1
-  // --- rank question, so complete density and n = 128 certify in-sweep). ---
+  // --- Frontier presets (unlocked by the downdate certifier and the SIMD
+  // --- row kernels: one all-blocks Gauss-Jordan answers every rank
+  // --- question, so complete density and n = 128 certify in-sweep). ---
   {
     scenario_family fam;
     fam.name = "k64_complete";

@@ -53,7 +53,10 @@ void* run_arena::bump(std::size_t bytes) {
   const std::size_t last = blocks_.empty() ? 0 : blocks_.back().size;
   std::size_t size = std::max({bytes, 2 * last, kMinBlockBytes});
   block b;
-  b.data = std::make_unique<std::byte[]>(size);
+  // Not zero-filled: a page turns resident only once a run writes it, so a
+  // shard's retained high-water block costs RSS only for what it used (a
+  // reset block is never zero either, so nothing may rely on it).
+  b.data = std::make_unique_for_overwrite<std::byte[]>(size);
   NAB_ASSERT(reinterpret_cast<std::uintptr_t>(b.data.get()) % kAlign == 0,
              "arena block storage must be 16-aligned");
   b.size = size;

@@ -10,6 +10,8 @@
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
 
+#include "certify_oracle.hpp"
+
 namespace nab::core {
 namespace {
 
@@ -48,7 +50,7 @@ TEST(Certify, CheckMatrixShape) {
   const coding_scheme cs = coding_scheme::generate(g, 1, 7);
   // H = {0,1,2}: edges inside are (0,1),(1,0),(0,2),(2,0),(1,2),(2,1), all
   // capacity 1 -> 6 columns; rows = (|H|-1)*rho = 2.
-  const auto ch = build_check_matrix(g, {0, 1, 2}, cs);
+  const auto ch = oracle::build_check_matrix(g, {0, 1, 2}, cs);
   EXPECT_EQ(ch.rows(), 2u);
   EXPECT_EQ(ch.cols(), 6u);
 }
@@ -59,7 +61,7 @@ TEST(Certify, CheckMatrixKernelIsExactlyEqualValues) {
   const graph::digraph g = graph::complete(4);
   const coding_scheme cs = coding_scheme::generate(g, 2, 21);
   const std::vector<graph::node_id> h{0, 1, 2};
-  auto ch = build_check_matrix(g, h, cs);
+  auto ch = oracle::build_check_matrix(g, h, cs);
   EXPECT_EQ(gf::rank(ch), (h.size() - 1) * 2);
 }
 
@@ -91,8 +93,8 @@ TEST(Certify, RepeatedRandomSchemesVirtuallyAlwaysPass) {
   EXPECT_EQ(pass, 20);
 }
 
-TEST(CertifyBatched, AgreesWithNaiveOnRegistryClassTopologies) {
-  // The batched certifier must produce the identical verdict AND the
+TEST(CertifyDowndate, AgreesWithOracleOnRegistryClassTopologies) {
+  // The downdate certifier must produce the identical verdict AND the
   // identical failing-subgraph list (same enumeration order) as the
   // independent per-H eliminations, on both dense and sparse topologies.
   rng rand(31);
@@ -108,8 +110,8 @@ TEST(CertifyBatched, AgreesWithNaiveOnRegistryClassTopologies) {
     for (int rho : {static_cast<int>(compute_rho(uk)),
                     static_cast<int>(compute_rho(uk)) + 4}) {
       const coding_scheme cs = coding_scheme::generate(g, rho, 0xabc);
-      const certification naive = certify_coding(g, f, dispute_record{}, cs);
-      const certification batched = certify_coding_batched(g, f, dispute_record{}, cs);
+      const certification naive = oracle::certify_per_h(g, f, dispute_record{}, cs);
+      const certification batched = certify_coding(g, f, dispute_record{}, cs);
       EXPECT_EQ(naive.ok, batched.ok) << "n=" << g.universe() << " rho=" << rho;
       EXPECT_EQ(naive.failing, batched.failing)
           << "n=" << g.universe() << " rho=" << rho;
@@ -117,7 +119,7 @@ TEST(CertifyBatched, AgreesWithNaiveOnRegistryClassTopologies) {
   }
 }
 
-TEST(CertifyBatched, AgreesWithNaiveUnderDisputes) {
+TEST(CertifyDowndate, AgreesWithOracleUnderDisputes) {
   rng rand(57);
   for (int trial = 0; trial < 40; ++trial) {
     graph::digraph g = graph::erdos_renyi(6 + static_cast<int>(rand.below(3)), 0.5,
@@ -135,18 +137,18 @@ TEST(CertifyBatched, AgreesWithNaiveUnderDisputes) {
     const auto uk = compute_uk(g, f, disputes);
     const coding_scheme cs =
         coding_scheme::generate(g, static_cast<int>(compute_rho(uk)) + 2, trial);
-    const certification naive = certify_coding(g, f, disputes, cs);
-    const certification batched = certify_coding_batched(g, f, disputes, cs);
+    const certification naive = oracle::certify_per_h(g, f, disputes, cs);
+    const certification batched = certify_coding(g, f, disputes, cs);
     EXPECT_EQ(naive.ok, batched.ok) << "trial " << trial;
     EXPECT_EQ(naive.failing, batched.failing) << "trial " << trial;
   }
 }
 
-TEST(CertifyBatched, LeaveOneOutAgreesWithNaiveWithInactiveNodesAndDisputes) {
+TEST(CertifyDowndate, LeaveOneOutAgreesWithOracleWithInactiveNodesAndDisputes) {
   // The leave-one-out shape (active == target + 1) is reached both by f = 1
   // on a fully active graph and by larger f after convictions shrank the
   // active set. Verdicts, failing lists, AND their order must match the
-  // naive certifier in every combination of disputes / inactive nodes /
+  // per-H oracle in every combination of disputes / inactive nodes /
   // over-large rho.
   rng rand(91);
   for (int trial = 0; trial < 30; ++trial) {
@@ -176,21 +178,23 @@ TEST(CertifyBatched, LeaveOneOutAgreesWithNaiveWithInactiveNodesAndDisputes) {
     certification naive, batched;
     {
       obs::scoped_collector scope(&col);
-      naive = certify_coding(g, f, disputes, cs);
-      batched = certify_coding_batched(g, f, disputes, cs);
+      naive = oracle::certify_per_h(g, f, disputes, cs);
+      batched = certify_coding(g, f, disputes, cs);
     }
     ASSERT_EQ(g.active_count(), g.universe() - f + 1);  // the LOO shape
     EXPECT_EQ(naive.ok, batched.ok) << "trial " << trial;
     EXPECT_EQ(naive.failing, batched.failing) << "trial " << trial;
-    // One downdate per Omega_k member, and the member count is what the
-    // naive path certified.
+    // One downdate per Omega_k member.
     EXPECT_EQ(col.value(obs::counter::cert_loo_downdates),
-              col.value(obs::counter::cert_subgraphs) / 2)
+              col.value(obs::counter::cert_subgraphs))
+        << "trial " << trial;
+    EXPECT_EQ(col.value(obs::counter::cert_subgraphs),
+              omega_subgraphs(g, f, disputes).size())
         << "trial " << trial;
   }
 }
 
-TEST(CertifyBatched, LeaveOneOutDisjointDisputesEmptyOmegaShortCircuits) {
+TEST(CertifyDowndate, LeaveOneOutDisjointDisputesEmptyOmegaShortCircuits) {
   // Two disjoint disputed pairs leave no leave-one-out member (no single
   // node covers both pairs): Omega_k is empty, certification is vacuously
   // ok, and the downdate path must notice BEFORE paying for an elimination.
@@ -204,7 +208,7 @@ TEST(CertifyBatched, LeaveOneOutDisjointDisputesEmptyOmegaShortCircuits) {
   certification c;
   {
     obs::scoped_collector scope(&col);
-    c = certify_coding_batched(g, 1, disputes, cs);
+    c = certify_coding(g, 1, disputes, cs);
   }
   EXPECT_TRUE(c.ok);
   EXPECT_EQ(col.value(obs::counter::cert_subgraphs), 0u);
@@ -212,17 +216,16 @@ TEST(CertifyBatched, LeaveOneOutDisjointDisputesEmptyOmegaShortCircuits) {
   EXPECT_EQ(col.value(obs::counter::gf_rows_eliminated), 0u);
 }
 
-TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactorOnEveryDispatchPath) {
-  // certify_cost_estimate models the same three-way dispatch
-  // certify_coding_batched performs (leave-one-out / dense re-factorization /
-  // sparse prefix walk), in the same unit the kernels count (GF words
-  // presented to axpy/scale). The estimate gates certification in
-  // core::session, so a model that drifts from the measured cost silently
-  // mis-gates presets — this pins est/measured into [1/6, 6] across
-  // topologies covering all three paths. The bound is deliberately loose
-  // (the model ignores pivot clustering and early exits) but one-sided
-  // drift by an order of magnitude, like the pre-fix 15x sparse
-  // overestimate, fails it.
+TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactor) {
+  // certify_cost_estimate prices certify_coding's one all-blocks
+  // elimination plus one corner rank per member, in the unit the kernels
+  // count (GF words presented to axpy/scale). The estimate gates
+  // certification in core::session, so a model that drifts from the
+  // measured cost silently mis-gates presets — this pins est/measured into
+  // [1/6, 6] across leave-one-out shapes (f = 1), wider removed sets
+  // (f = 2, 3), dense and sparse topologies, and over-large rho. The bound
+  // is deliberately loose (the model ignores fill-in sparsity and early
+  // exits) but one-sided drift by an order of magnitude fails it.
   struct probe_case {
     const char* name;
     graph::digraph g;
@@ -231,19 +234,21 @@ TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactorOnEveryDispatchPath)
   };
   rng rand(31);
   std::vector<probe_case> cases;
-  cases.push_back({"fig1a/f1", graph::paper_fig1a(), 1, 0});           // LOO
-  cases.push_back({"fig1b/f1", graph::paper_fig1b(), 1, 0});           // LOO
-  cases.push_back({"complete7cap2/f1", graph::complete(7, 2), 1, 0});  // LOO
+  cases.push_back({"fig1a/f1", graph::paper_fig1a(), 1, 0});
+  cases.push_back({"fig1b/f1", graph::paper_fig1b(), 1, 0});
+  cases.push_back({"complete7cap2/f1", graph::complete(7, 2), 1, 0});
   cases.push_back({"complete7cap2/f1/rho+4", graph::complete(7, 2), 1, 4});
-  cases.push_back({"complete7/f2", graph::complete(7, 1), 2, 0});      // dense
-  cases.push_back({"complete6/f2", graph::complete(6, 1), 2, 0});      // dense
-  cases.push_back({"hypercube3/f1", graph::hypercube(3, 2), 1, 0});    // LOO
-  cases.push_back({"hypercube4/f1", graph::hypercube(4, 1), 1, 0});    // LOO
-  cases.push_back({"hypercube4/f2", graph::hypercube(4, 1), 2, 0});    // DFS
+  cases.push_back({"complete7/f2", graph::complete(7, 1), 2, 0});
+  cases.push_back({"complete6/f2", graph::complete(6, 1), 2, 0});
+  cases.push_back({"complete10/f3", graph::complete(10, 1), 3, 0});
+  cases.push_back({"hypercube3/f1", graph::hypercube(3, 2), 1, 0});
+  cases.push_back({"hypercube4/f1", graph::hypercube(4, 1), 1, 0});
+  cases.push_back({"hypercube4/f2", graph::hypercube(4, 1), 2, 0});
   cases.push_back({"wan3x3/f1", graph::clustered_wan(3, 3, 4, 1), 1, 0});
-  cases.push_back({"wan4x4/f2", graph::clustered_wan(4, 4, 4, 1), 2, 0});  // DFS
+  cases.push_back({"wan4x4/f2", graph::clustered_wan(4, 4, 4, 1), 2, 0});
   cases.push_back(
       {"regular8d4/f1", graph::random_regular(8, 4, 1, 3, rand), 1, 0});
+  cases.push_back({"complete24/f1", graph::complete(24, 1), 1, 0});  // blocked
   for (const probe_case& c : cases) {
     const dispute_record none;
     const graph::capacity_t uk = compute_uk(c.g, c.f, none);
@@ -254,7 +259,7 @@ TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactorOnEveryDispatchPath)
     obs::collector col;
     {
       obs::scoped_collector scope(&col);
-      certify_coding_batched(c.g, c.f, none, cs);
+      certify_coding(c.g, c.f, none, cs);
     }
     const std::uint64_t measured = col.value(obs::counter::gf_axpy_words) +
                                    col.value(obs::counter::gf_scale_words);
@@ -266,7 +271,7 @@ TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactorOnEveryDispatchPath)
   }
 }
 
-TEST(CertifyBatched, DetectsDisconnectedSubgraphs) {
+TEST(CertifyDowndate, DetectsDisconnectedSubgraphs) {
   // A cut vertex makes some H in Omega_1 disconnected; its C_H cannot have
   // full row rank (nothing links the components), and both certifiers must
   // name exactly the same failing subgraphs.
@@ -280,8 +285,8 @@ TEST(CertifyBatched, DetectsDisconnectedSubgraphs) {
     g.add_bidirectional(v, v == 3 ? 4 : 3, 1);
   }
   const coding_scheme cs = coding_scheme::generate(g, 1, 77);
-  const certification naive = certify_coding(g, 1, dispute_record{}, cs);
-  const certification batched = certify_coding_batched(g, 1, dispute_record{}, cs);
+  const certification naive = oracle::certify_per_h(g, 1, dispute_record{}, cs);
+  const certification batched = certify_coding(g, 1, dispute_record{}, cs);
   EXPECT_FALSE(batched.ok);
   EXPECT_EQ(naive.ok, batched.ok);
   EXPECT_EQ(naive.failing, batched.failing);

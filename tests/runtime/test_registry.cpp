@@ -6,6 +6,7 @@
 
 #include "core/certify.hpp"
 #include "core/omega.hpp"
+#include "core/omega_cache.hpp"
 #include "graph/connectivity.hpp"
 #include "runtime/runner.hpp"
 #include "util/error.hpp"
@@ -173,12 +174,16 @@ TEST(Registry, FrontierPresetsPinTheLeaveOneOutScale) {
   }
 }
 
-TEST(Registry, EveryPresetsCertifyCostEstimateFitsItsLimit) {
-  // The session gate skips certification when certify_cost_estimate exceeds
-  // the preset's certify_cost_limit, so a preset whose estimate outgrows its
-  // limit silently stops exercising the rank checks. Re-validate every
-  // distinct (topology, f, limit) in the catalog against the current model
-  // (random topologies are built from a fixed seed, like the other sweeps).
+TEST(Registry, EveryPresetStillCertifies) {
+  // The session trusts Theorem 1 without a word when the cached
+  // certify_cost_estimate exceeds certify_cost_limit, so a preset that
+  // outgrows its limit stops certifying silently. Every distinct
+  // (topology, f, limit) in the catalog must pass the session's own gate —
+  // the omega_cache analysis it reads (random topologies are built from a
+  // fixed seed, like the other sweeps) — and the first run of every family
+  // small enough to execute here must show the certifier running: one
+  // downdate per member.
+  auto& cache = core::omega_cache::instance();
   rng rand(11);
   std::set<std::string> seen;
   for (const scenario& s : all_scenarios()) {
@@ -191,12 +196,19 @@ TEST(Registry, EveryPresetsCertifyCostEstimateFitsItsLimit) {
                             ":" + std::to_string(s.certify_cost_limit);
     if (!seen.insert(key).second) continue;
     const graph::digraph g = build_topology(t, rand);
-    const core::dispute_record none;
-    const auto uk = core::compute_uk(g, s.f, none);
-    const auto omega = core::omega_subgraphs(g, s.f, none);
-    const std::uint64_t est = core::certify_cost_estimate(
-        g, omega, static_cast<int>(core::compute_rho(uk)));
-    EXPECT_LE(est, s.certify_cost_limit) << s.name;
+    EXPECT_LE(cache.analyze(g, s.f, core::dispute_record{})->certify_cost,
+              s.certify_cost_limit)
+        << s.name;
+  }
+  for (const scenario_family& fam : registry()) {
+    const std::vector<scenario> runs = fam.expand();
+    ASSERT_FALSE(runs.empty()) << fam.name;
+    const scenario& s = runs.front();
+    if (topology_nodes(s.topology) > 32) continue;
+    const run_record r = execute_scenario(s, 0, 11);
+    ASSERT_TRUE(r.ok()) << s.name;
+    EXPECT_GT(r.cert_subgraphs, 0u) << s.name;
+    EXPECT_EQ(r.cert_loo_downdates, r.cert_subgraphs) << s.name;
   }
 }
 
