@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -135,11 +136,22 @@ class relay_adversary {
 /// by sending the same data along 2f+1 node-disjoint paths and taking the
 /// majority at the receiver (Appendix D). This class precomputes those
 /// routes once per topology and provides round-structured logical unicasts
-/// with exact link-level bit accounting: every link of every path is charged
-/// the full payload size in the step where the round ends.
+/// with exact link-level bit accounting.
 ///
-/// Accounting model: multi-hop forwarding within one synchronous step
-/// (cut-through); see docs/PAPER_MAP.md, "Realization choices".
+/// Accounting: a relay forwards identical content once. A round's messages
+/// from senders with an emulated route are grouped by (from, tag, bits,
+/// payload), and a directed link carries one copy per group that routes
+/// over it, however many of the group's paths (to however many receivers)
+/// cross it; a sender whose routes are all direct links sends each message
+/// on its own link. Routes and the per-path majority are unchanged; only
+/// identical copies are compressed.
+/// The exception is tamperable content: with a relay adversary attached, a
+/// hop sent by or after a corrupt interior relay is charged per path, since
+/// that relay may forward different content on each. Under loss, each
+/// merged link transmission runs one ARQ loop, and a path arrives iff every
+/// one of its hops got through. Multi-hop forwarding happens within one
+/// synchronous step (cut-through); see docs/PAPER_MAP.md, "Realization
+/// choices".
 class channel_plan {
  public:
   /// The flat pooled route storage (see route_table above).
@@ -185,11 +197,18 @@ class channel_plan {
   void unicast(graph::node_id from, graph::node_id to, std::uint64_t tag,
                sim::payload payload, std::uint64_t bits);
 
-  /// Ends the round: charges `net`, applies relay tampering on compromised
-  /// paths, majority-resolves copies, and fills the channel inboxes.
-  /// Returns the step duration.
-  double end_round(sim::network& net, const sim::fault_set& faults,
-                   relay_adversary* adv = nullptr);
+  virtual ~channel_plan() = default;
+  channel_plan(const channel_plan&) = default;
+  channel_plan& operator=(const channel_plan&) = default;
+  channel_plan(channel_plan&&) = default;
+  channel_plan& operator=(channel_plan&&) = default;
+
+  /// Ends the round: charges `net` (merged as above), applies relay
+  /// tampering on compromised paths, majority-resolves copies, and fills the
+  /// channel inboxes in queue order. Returns the step duration. Virtual only
+  /// so tests can run the protocols over a per-path reference channel.
+  virtual double end_round(sim::network& net, const sim::fault_set& faults,
+                           relay_adversary* adv = nullptr);
 
   /// Logical messages delivered to v in the last completed round.
   const sim::message_list& inbox(graph::node_id v) const;
@@ -210,12 +229,42 @@ class channel_plan {
   /// The topology the plan was built for (participants = its active nodes).
   const graph::digraph& topology() const { return topo_; }
 
+ protected:
+  sim::message_list queued_;
+  std::vector<sim::message_list> inboxes_;
+
  private:
+  /// Charges message `idx` of queued_ over its routes, as a member of the
+  /// merge group whose stamp is `group`, and records each path's fate in
+  /// path_state_.
+  void transmit(std::size_t idx, std::uint64_t group, sim::network& net,
+                const sim::fault_set& faults, bool tamperable);
+
+  /// Delivers message `idx` into its receiver's inbox by the fate of its
+  /// paths: nothing when all were lost, the payload itself when no
+  /// surviving copy crossed a tampering relay, else the majority.
+  void deliver(std::size_t idx, relay_adversary* adv);
+
   graph::digraph topo_;
   int f_;
   std::shared_ptr<const route_table> routes_;  // immutable, possibly shared
-  sim::message_list queued_;
-  std::vector<sim::message_list> inboxes_;
+
+  // end_round scratch, reused across rounds (no heap allocation once warm).
+  struct link_slot {
+    std::uint64_t stamp = 0;  ///< last merge group that used the link
+    bool ok = false;          ///< whether that group's transmission got through
+  };
+  /// A path's fate in the round: lost in transit, delivered verbatim, or
+  /// delivered through a corrupt relay while a relay adversary is attached.
+  enum class path_fate : char { lost, intact, tamperable };
+  std::vector<link_slot> links_;           ///< per directed link, u * n + v
+  std::uint64_t stamp_ = 0;                ///< last group stamp handed out
+  std::vector<char> emulating_;            ///< per source: some route is multi-hop
+  std::vector<std::uint32_t> merge_order_; ///< emulating senders' messages, queue order
+  /// Runs of equal consecutive copies: [begin, end) positions in merge_order_.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> runs_;
+  std::vector<std::uint32_t> first_path_;  ///< per message: its paths' span in path_state_
+  std::vector<path_fate> path_state_;      ///< per path, by first_path_
 };
 
 }  // namespace nab::bb

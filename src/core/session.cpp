@@ -199,6 +199,7 @@ instance_report session::run_instance(const std::vector<word>& input,
     span.end_tau(net.elapsed());
   }
   report.time_phase1 = p1.time;
+  report.bits_phase1 = net.total_bits();
 
   // Special case 2: with >= f nodes excluded, every remaining node is
   // fault-free and Phase 1 alone is reliable (Section 2).
@@ -221,6 +222,7 @@ instance_report session::run_instance(const std::vector<word>& input,
       span.end_tau(net.elapsed());
     }
     report.time_equality_check = ec.time;
+    report.bits_equality_check = net.total_bits() - report.bits_phase1;
 
     // ---- Phase 2, step 2.2: classical BB of the 1-bit flags. ----
     std::vector<bool> flag_inputs(static_cast<std::size_t>(gk_.universe()), false);
@@ -256,6 +258,8 @@ instance_report session::run_instance(const std::vector<word>& input,
       span.end_tau(net.elapsed());
     }
     report.time_flags = flags.time;
+    report.bits_flags =
+        net.total_bits() - report.bits_phase1 - report.bits_equality_check;
 
     // All honest nodes hold identical agreed flags; read them off one.
     graph::node_id reader = -1;
@@ -328,6 +332,8 @@ instance_report session::run_instance(const std::vector<word>& input,
         span.end_tau(net.elapsed());
       }
       report.time_phase3 = dc.time;
+      report.bits_phase3 = net.total_bits() - report.bits_phase1 -
+                           report.bits_equality_check - report.bits_flags;
       report.claim_bits = dc.claim_bits;
       report.claim_fallbacks = dc.claim_fallbacks;
       stats_.claim_bits += dc.claim_bits;

@@ -74,6 +74,12 @@ struct instance_report {
   double time_equality_check = 0.0;
   double time_flags = 0.0;
   double time_phase3 = 0.0;
+  /// Wire bits per phase (network::total_bits deltas; together every bit
+  /// the instance put on a link).
+  std::uint64_t bits_phase1 = 0;
+  std::uint64_t bits_equality_check = 0;
+  std::uint64_t bits_flags = 0;
+  std::uint64_t bits_phase3 = 0;
   /// Wire bits DC1's claim dissemination consumed (0 when Phase 3 did not
   /// run) and, for the collapsed backend, how many (claimant, receiver)
   /// pairs needed the full-transcript retrieval fallback.

@@ -216,6 +216,10 @@ json run_record::to_json(bool include_timing) const {
       .set("tau_equality_check", json::num(tau_equality_check))
       .set("tau_flags", json::num(tau_flags))
       .set("tau_phase3", json::num(tau_phase3))
+      .set("bits_phase1", json::num(bits_phase1))
+      .set("bits_equality_check", json::num(bits_equality_check))
+      .set("bits_flags", json::num(bits_flags))
+      .set("bits_phase3", json::num(bits_phase3))
       .set("dispute_phases", json::num(dispute_phases))
       .set("disputes", json::num(disputes))
       .set("convictions", json::num(convictions))

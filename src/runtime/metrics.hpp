@@ -116,6 +116,12 @@ struct run_record {
   double tau_equality_check = 0.0;
   double tau_flags = 0.0;
   double tau_phase3 = 0.0;
+  /// Wire bits per protocol phase, summed the same way; together they are
+  /// every bit the session put on a link.
+  std::uint64_t bits_phase1 = 0;
+  std::uint64_t bits_equality_check = 0;
+  std::uint64_t bits_flags = 0;
+  std::uint64_t bits_phase3 = 0;
   int dispute_phases = 0;
   int disputes = 0;               ///< distinct disputing pairs at session end
   int convictions = 0;

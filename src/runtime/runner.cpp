@@ -267,6 +267,10 @@ run_record execute_scenario(const scenario& s, int run_index,
     rec.tau_equality_check += r.time_equality_check;
     rec.tau_flags += r.time_flags;
     rec.tau_phase3 += r.time_phase3;
+    rec.bits_phase1 += r.bits_phase1;
+    rec.bits_equality_check += r.bits_equality_check;
+    rec.bits_flags += r.bits_flags;
+    rec.bits_phase3 += r.bits_phase3;
     if (r.mismatch_announced) ++rec.mismatch_instances;
     if (r.phase1_only) ++rec.phase1_only_instances;
     if (r.default_outcome) ++rec.default_outcome_instances;

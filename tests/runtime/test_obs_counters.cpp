@@ -123,6 +123,34 @@ TEST(ObsCounters, PerPhaseTauAccountsForTheSession) {
   EXPECT_EQ(a, execute_scenario(sweep[picked[0]], static_cast<int>(picked[0]), 3));
 }
 
+TEST(ObsCounters, PerPhaseBitsAccountForTheSession) {
+  // bits_phase1/equality_check/flags/phase3 are network::total_bits deltas
+  // per phase: together they are every bit the run's traffic trace saw. The
+  // false-flag runs engage all four phases; the hypercube run routes its
+  // flags over emulated multi-hop channels.
+  std::vector<std::pair<scenario, int>> picked;
+  const std::vector<scenario> flags = select_scenarios("ablation-flags");
+  for (std::size_t i = 0; i < flags.size(); ++i)
+    if (flags[i].adversary == adversary_kind::false_flag)
+      picked.emplace_back(flags[i], static_cast<int>(i));
+  const std::vector<scenario> cube = select_scenarios("hypercube");
+  ASSERT_FALSE(cube.empty());
+  picked.emplace_back(cube.front(), 0);
+  for (const auto& [s, index] : picked) {
+    const run_record r = execute_scenario(s, index, 3, /*capture_trace=*/true);
+    ASSERT_TRUE(r.ok()) << r.scenario;
+    std::uint64_t traced = 0;
+    for (std::uint64_t bits : r.traffic) traced += bits;
+    EXPECT_GT(r.bits_phase1, 0u) << r.scenario;
+    EXPECT_GT(r.bits_equality_check, 0u) << r.scenario;
+    EXPECT_GT(r.bits_flags, 0u) << r.scenario;
+    EXPECT_EQ(r.bits_phase3 > 0, r.dispute_phases > 0) << r.scenario;
+    EXPECT_EQ(r.bits_phase1 + r.bits_equality_check + r.bits_flags + r.bits_phase3,
+              traced)
+        << r.scenario;
+  }
+}
+
 TEST(ObsCounters, IdenticalAcrossPooledAndUnpooledSessions) {
   // Same contract the arena-equivalence suite pins for outputs, extended to
   // the deterministic counter set: pooling is invisible to everything but
