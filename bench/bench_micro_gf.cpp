@@ -4,11 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
-#include "gf/gf2m.hpp"
 #include "gf/linalg.hpp"
 #include "gf/matrix.hpp"
+#include "support/gf256.hpp"
+#include "support/gf2m.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -64,11 +64,14 @@ void bm_axpy_backend(benchmark::State& state, nab::gf::gf_backend backend) {
   F::set_backend(nab::gf::gf_backend::scalar);
 }
 BENCHMARK_CAPTURE(bm_axpy_backend, scalar, nab::gf::gf_backend::scalar)
-    ->Name("gf2_16_axpy_scalar")->Arg(64)->Arg(640)->Arg(4096);
+    ->Name("gf2_16_axpy_scalar")->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(640)->Arg(4096);
 BENCHMARK_CAPTURE(bm_axpy_backend, ssse3, nab::gf::gf_backend::ssse3)
     ->Name("gf2_16_axpy_ssse3")->Arg(64)->Arg(640)->Arg(4096);
 BENCHMARK_CAPTURE(bm_axpy_backend, avx2, nab::gf::gf_backend::avx2)
     ->Name("gf2_16_axpy_avx2")->Arg(64)->Arg(640)->Arg(4096);
+BENCHMARK_CAPTURE(bm_axpy_backend, avx512_gfni, nab::gf::gf_backend::avx512_gfni)
+    ->Name("gf2_16_axpy_avx512_gfni")->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(126)->Arg(640)
+    ->Arg(4096);
 BENCHMARK_CAPTURE(bm_axpy_backend, neon, nab::gf::gf_backend::neon)
     ->Name("gf2_16_axpy_neon")->Arg(64)->Arg(640)->Arg(4096);
 

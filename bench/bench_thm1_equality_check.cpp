@@ -14,9 +14,9 @@
 #include <cstdio>
 
 #include "core/certify.hpp"
-#include "gf/gf2m.hpp"
 #include "gf/matrix.hpp"
 #include "graph/generators.hpp"
+#include "support/gf2m.hpp"
 #include "util/rng.hpp"
 
 namespace {

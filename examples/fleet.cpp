@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "core/omega_cache.hpp"
+#include "gf/gf2_16.hpp"
 #include "runtime/runtime.hpp"
 
 namespace {
@@ -132,10 +133,13 @@ int run_sweep_mode(const nab::runtime::fleet_options& opt) {
   // zero sweep against a clean one record-for-record.
   if (!opt.loss.empty())
     for (scenario& s : sweep) s.loss = opt.loss;
-  std::printf("fleet: %zu runs (%s%s%s), %d job%s, seed %llu\n", sweep.size(),
-              opt.scenarios.c_str(), opt.loss.empty() ? "" : ", loss ",
-              opt.loss.c_str(), opt.jobs, opt.jobs == 1 ? "" : "s",
-              static_cast<unsigned long long>(opt.seed));
+  // The GF backend is machine state, not part of any record (records are
+  // byte-identical across backends), so it is named here and nowhere else.
+  std::printf("fleet: %zu runs (%s%s%s), %d job%s, seed %llu, gf backend %s\n",
+              sweep.size(), opt.scenarios.c_str(),
+              opt.loss.empty() ? "" : ", loss ", opt.loss.c_str(), opt.jobs,
+              opt.jobs == 1 ? "" : "s", static_cast<unsigned long long>(opt.seed),
+              nab::gf::gf2_16::backend_name(nab::gf::gf2_16::backend()));
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<double> run_walls;

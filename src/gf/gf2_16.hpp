@@ -6,13 +6,16 @@
 namespace nab::gf {
 
 /// Row-kernel implementation backends for gf2_16::axpy / gf2_16::scale.
-/// `scalar` is the portable loop and the bit-exact reference; the SIMD
-/// backends run the standard 4-bit half-table multiply (GF-Complete /
-/// sparsenc's `multiply_add_region` trick) over the two byte planes of each
-/// 16-bit word — x86 `pshufb` (SSSE3, widened on AVX2) or AArch64 `vtbl`.
+/// `scalar` is the portable loop and the bit-exact reference. `ssse3`,
+/// `avx2` and `neon` run the standard 4-bit half-table multiply
+/// (GF-Complete / sparsenc's `multiply_add_region` trick) over the two byte
+/// planes of each 16-bit word — x86 `pshufb` (SSSE3, widened on AVX2) or
+/// AArch64 `vtbl`. `avx512_gfni` (AVX-512BW + VBMI + GFNI) treats "multiply
+/// by c" as a 16x16 bit matrix over GF(2) and applies its four 8x8 blocks
+/// with `vgf2p8affineqb` to the split byte planes, 64 words per step.
 /// Every backend produces identical bytes and identical obs counters; only
 /// throughput differs.
-enum class gf_backend : int { scalar, ssse3, avx2, neon };
+enum class gf_backend : int { scalar, ssse3, avx2, avx512_gfni, neon };
 
 namespace detail {
 
@@ -106,9 +109,10 @@ class gf2_16 {
   static void scale(value_type* v, value_type coeff, std::size_t n);
 
   /// The active row-kernel backend. Selected once on first kernel use:
-  /// NAB_GF_BACKEND=scalar|ssse3|avx2|neon forces a backend (silently
-  /// falling back to the best supported one when this CPU lacks it);
-  /// unset/auto picks the widest supported instruction set.
+  /// NAB_GF_BACKEND=scalar|ssse3|avx2|avx512_gfni|neon forces a backend
+  /// (silently falling back to the best supported one when this CPU lacks
+  /// it); unset/auto picks the fastest supported one, in the order
+  /// avx512_gfni, avx2, ssse3, neon, scalar.
   static gf_backend backend();
 
   /// Forces a backend at runtime (tests; the env override uses the same

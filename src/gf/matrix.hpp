@@ -1,6 +1,10 @@
 #pragma once
 
+#include <sys/mman.h>
+
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -8,13 +12,53 @@
 
 namespace nab::gf {
 
+namespace detail {
+
+/// Matrix storage allocator: blocks of 1 MiB or more are mapped straight
+/// from the OS and unmapped when freed, smaller ones come from the heap.
+/// Through malloc, freeing one large block raises glibc's dynamic mmap
+/// threshold, so the next block of that size lands in the brk heap, and the
+/// process's peak RSS then depends on how that heap happens to be
+/// fragmented.
+template <class T>
+struct large_block_allocator {
+  using value_type = T;
+  static constexpr std::size_t min_mapped_bytes = std::size_t{1} << 20;
+
+  large_block_allocator() = default;
+  template <class U>
+  large_block_allocator(const large_block_allocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    if (n * sizeof(T) < min_mapped_bytes) return std::allocator<T>{}.allocate(n);
+    void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+
+  void deallocate(T* p, std::size_t n) noexcept {
+    if (n * sizeof(T) < min_mapped_bytes) {
+      std::allocator<T>{}.deallocate(p, n);
+      return;
+    }
+    ::munmap(p, n * sizeof(T));
+  }
+
+  friend bool operator==(const large_block_allocator&, const large_block_allocator&) {
+    return true;
+  }
+};
+
+}  // namespace detail
+
 /// Dense row-major matrix over a binary extension field.
 ///
-/// `F` is a stateless field tag (gf256, gf2_16, gf2m<M>) exposing
+/// `F` is a stateless field tag (gf2_16 in the library) exposing
 /// value_type, zero/one, add/sub/mul/inv/div. The matrix owns its storage;
-/// copying is explicit and cheap enough for the sizes NAB needs (the largest
-/// matrices are the (n-f-1)*rho square certification matrices, well under
-/// 10^3 x 10^3).
+/// copying is explicit. The largest matrices are the certification check
+/// matrices: K_64's is 3968 x 4032 (32 MB), which is why storage of 1 MiB
+/// or more goes straight to and from the OS (detail::large_block_allocator).
 template <class F>
 class matrix {
  public:
@@ -127,7 +171,7 @@ class matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<value_type> data_;
+  std::vector<value_type, detail::large_block_allocator<value_type>> data_;
 };
 
 }  // namespace nab::gf

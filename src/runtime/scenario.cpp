@@ -362,8 +362,9 @@ std::vector<scenario_family> build_registry() {
         "is a 3906-rank question over 4032 columns — feasible only because "
         "the leave-one-out certifier answers all 64 from ONE Gauss-Jordan "
         "of the all-blocks matrix plus a ~126-column corner per member "
-        "(~3.2e10 GF words, ~10 s on the AVX2 row kernels; per-subgraph "
-        "elimination would be 64x that).";
+        "(~3.2e10 GF words, ~1 s on four workers with the AVX-512 + GFNI "
+        "row kernels, ~3 s with AVX2; per-subgraph elimination would be "
+        "64x that).";
     fam.topologies = {{.kind = tk::complete, .n = 64, .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {1};
     fam.adversaries = {ak::honest};

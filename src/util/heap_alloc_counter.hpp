@@ -18,6 +18,11 @@ namespace nab::util {
 
 inline std::atomic<std::uint64_t> heap_alloc_count{0};
 
+/// The free() behind every replacement operator delete, kept out of line:
+/// once a delete is inlined after a new, GCC's -Wmismatched-new-delete
+/// flags a free() it can trace back to an operator new result.
+[[gnu::noinline]] inline void heap_release(void* p) noexcept { std::free(p); }
+
 /// Heap allocations (any operator-new form) since process start.
 inline std::uint64_t heap_allocs() {
   return heap_alloc_count.load(std::memory_order_relaxed);
@@ -38,9 +43,13 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
   return operator new(n, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { nab::util::heap_release(p); }
+void operator delete(void* p, std::size_t) noexcept { nab::util::heap_release(p); }
+void operator delete[](void* p) noexcept { nab::util::heap_release(p); }
+void operator delete[](void* p, std::size_t) noexcept { nab::util::heap_release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  nab::util::heap_release(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  nab::util::heap_release(p);
+}

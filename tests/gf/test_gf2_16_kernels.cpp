@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "gf/gf2_16.hpp"
@@ -21,11 +24,14 @@ namespace {
 
 using word = gf2_16::value_type;
 
+constexpr gf_backend all_backends[] = {gf_backend::scalar, gf_backend::ssse3,
+                                       gf_backend::avx2, gf_backend::avx512_gfni,
+                                       gf_backend::neon};
+
 std::vector<gf_backend> supported_backends() {
   const gf_backend initial = gf2_16::backend();
   std::vector<gf_backend> out;
-  for (gf_backend b : {gf_backend::scalar, gf_backend::ssse3, gf_backend::avx2,
-                       gf_backend::neon})
+  for (gf_backend b : all_backends)
     if (gf2_16::set_backend(b)) out.push_back(b);
   gf2_16::set_backend(initial);
   return out;
@@ -45,14 +51,30 @@ class backend_scope {
 
 word ref_mul(word a, word b) { return gf2_16::mul(a, b); }
 
-/// 0..31 covers the short-row shunt (SIMD kernels hand rows below the
-/// table-build amortization cutoff back to the scalar loop); 128..159 starts
-/// past that cutoff, so every SIMD tail residue (AVX2 strides 16 words) is
-/// hit in the vector path.
+/// Names the backend the environment selected before any test switches
+/// it, so a run under NAB_GF_BACKEND=x shows whether x actually ran or
+/// fell back on a CPU that lacks it.
+class selected_backend_report : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    const char* env = std::getenv("NAB_GF_BACKEND");
+    std::printf("[ gf backend ] NAB_GF_BACKEND=%s selected %s\n",
+                env != nullptr ? env : "(unset)",
+                gf2_16::backend_name(gf2_16::backend()));
+  }
+};
+
+[[maybe_unused]] ::testing::Environment* const selected_backend_env =
+    ::testing::AddGlobalTestEnvironment(new selected_backend_report);
+
+/// Every length 0..200: both short-row cutoffs (16 words for avx512_gfni,
+/// 128 for the nibble-table kernels) and every tail residue of each vector
+/// stride (8, 16 and 64 words) on both sides of them; plus one long row
+/// that runs the 64-word step many times.
 std::vector<std::size_t> test_lengths() {
   std::vector<std::size_t> ns;
-  for (std::size_t t = 0; t < 32; ++t) ns.push_back(t);
-  for (std::size_t t = 0; t < 32; ++t) ns.push_back(128 + t);
+  for (std::size_t t = 0; t <= 200; ++t) ns.push_back(t);
+  ns.push_back(4099);
   return ns;
 }
 
@@ -71,13 +93,30 @@ TEST(GfKernels, ScalarIsTheDefaultFallbackAndNamesRoundTrip) {
   EXPECT_STREQ(gf2_16::backend_name(gf_backend::scalar), "scalar");
   EXPECT_STREQ(gf2_16::backend_name(gf_backend::ssse3), "ssse3");
   EXPECT_STREQ(gf2_16::backend_name(gf_backend::avx2), "avx2");
+  EXPECT_STREQ(gf2_16::backend_name(gf_backend::avx512_gfni), "avx512_gfni");
   EXPECT_STREQ(gf2_16::backend_name(gf_backend::neon), "neon");
   // At least one SIMD backend is expected on the CI x86 / AArch64 runners,
   // but a build must never FAIL for lacking one — unsupported requests are
   // rejected cleanly.
-  for (gf_backend b : {gf_backend::ssse3, gf_backend::avx2, gf_backend::neon})
-    if (!gf2_16::set_backend(b)) EXPECT_NE(gf2_16::backend(), b);
+  for (gf_backend b : all_backends) {
+    if (!gf2_16::set_backend(b)) {
+      EXPECT_NE(gf2_16::backend(), b);
+    }
+  }
   gf2_16::set_backend(gf_backend::scalar);
+}
+
+TEST(GfKernels, Avx512GfniIsAcceptedOrRejectedCleanly) {
+  const gf_backend initial = gf2_16::backend();
+  ASSERT_TRUE(gf2_16::set_backend(gf_backend::scalar));
+  if (!gf2_16::set_backend(gf_backend::avx512_gfni)) {
+    // The rejected request leaves the active backend untouched.
+    EXPECT_EQ(gf2_16::backend(), gf_backend::scalar);
+    gf2_16::set_backend(initial);
+    GTEST_SKIP() << "this CPU lacks AVX-512BW/VBMI + GFNI; avx512_gfni not run";
+  }
+  EXPECT_EQ(gf2_16::backend(), gf_backend::avx512_gfni);
+  gf2_16::set_backend(initial);
 }
 
 TEST(GfKernels, AxpyMatchesMulAcrossBackendsTailsAlignmentsAndCoeffs) {
@@ -102,7 +141,8 @@ TEST(GfKernels, AxpyMatchesMulAcrossBackendsTailsAlignmentsAndCoeffs) {
         }
       }
     }
-    // One long row: exercises the main vector loop well past one stride.
+    // A long odd row at a fixed coefficient whose four 8x8 blocks are all
+    // non-trivial.
     const std::size_t n = 517;
     const word coeff = 0x1b3f;
     std::vector<word> src = random_row(rand, n);
@@ -137,6 +177,59 @@ TEST(GfKernels, ScaleMatchesMulIncludingAliasedInPlaceUse) {
       }
     }
   }
+}
+
+TEST(GfKernels, RandomLengthsOffsetsAndCoefficientsMatchMul) {
+  // Every coefficient has its own bit-matrix blocks, so draw many of them:
+  // random (length 0..700, word offset 0..4, coefficient) trials per backend.
+  // The 64 guard words past each row must come back untouched: a tail step
+  // may not read or write beyond n.
+  for (gf_backend b : supported_backends()) {
+    backend_scope scope(b);
+    rng rand(0xf1e1d);
+    for (int trial = 0; trial < 2000; ++trial) {
+      const std::size_t n = rand.below(701);
+      const std::size_t off = rand.below(5);
+      const word coeff = static_cast<word>(rand.below(65536));
+      std::vector<word> src = random_row(rand, n + off + 64);
+      std::vector<word> dst = random_row(rand, n + off + 64);
+      std::vector<word> axpy_expect(dst), scale_expect(src);
+      for (std::size_t i = 0; i < n; ++i) {
+        axpy_expect[off + i] ^= ref_mul(coeff, src[off + i]);
+        scale_expect[off + i] = ref_mul(coeff, src[off + i]);
+      }
+      gf2_16::axpy(dst.data() + off, src.data() + off, coeff, n);
+      gf2_16::scale(src.data() + off, coeff, n);
+      ASSERT_EQ(dst, axpy_expect) << gf2_16::backend_name(b) << " n=" << n
+                                  << " off=" << off << " coeff=" << coeff;
+      ASSERT_EQ(src, scale_expect) << gf2_16::backend_name(b) << " n=" << n
+                                   << " off=" << off << " coeff=" << coeff;
+    }
+  }
+}
+
+TEST(GfKernels, EveryCoefficientMatchesMulOnTheBasis) {
+  // The avx512_gfni kernel derives a bit matrix per coefficient; a row that
+  // starts with the sixteen unit words x^0..x^15 reads that whole matrix
+  // back, so this sweeps every coefficient's matrix exactly. 136 words keep
+  // the nibble-table kernels on their vector path too.
+  const std::vector<gf_backend> backends = supported_backends();
+  const gf_backend initial = gf2_16::backend();
+  rng rand(0xba515);
+  std::vector<word> src = random_row(rand, 136);
+  for (unsigned j = 0; j < 16; ++j) src[j] = static_cast<word>(1u << j);
+  std::vector<word> expect(src.size()), dst(src.size());
+  for (unsigned c = 0; c < 65536; ++c) {
+    const word coeff = static_cast<word>(c);
+    for (std::size_t i = 0; i < src.size(); ++i) expect[i] = ref_mul(coeff, src[i]);
+    for (gf_backend b : backends) {
+      gf2_16::set_backend(b);
+      std::fill(dst.begin(), dst.end(), word{0});
+      gf2_16::axpy(dst.data(), src.data(), coeff, dst.size());
+      ASSERT_EQ(dst, expect) << gf2_16::backend_name(b) << " coeff=" << coeff;
+    }
+  }
+  gf2_16::set_backend(initial);
 }
 
 TEST(GfKernels, AxpyToleratesDstAliasingSrc) {

@@ -1,9 +1,9 @@
-#include "gf/gf2m.hpp"
+#include "support/gf2m.hpp"
 
 #include <gtest/gtest.h>
 
-#include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
+#include "support/gf256.hpp"
 #include "util/rng.hpp"
 
 namespace nab::gf {

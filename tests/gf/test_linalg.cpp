@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
+#include "support/gf256.hpp"
 #include "util/rng.hpp"
 
 namespace nab::gf {

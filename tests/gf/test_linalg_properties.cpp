@@ -4,10 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
 #include "gf/linalg.hpp"
 #include "gf/matrix.hpp"
+#include "support/gf256.hpp"
 #include "util/rng.hpp"
 
 namespace nab::gf {

@@ -83,9 +83,11 @@ TEST(Executor, WorkStealingDrainsImbalancedLoads) {
   // observable here as plain completion (no deadlock, all indices run).
   std::atomic<int> done{0};
   parallel_for_each_index(4, 64, [&](std::size_t i) {
-    if (i == 0)
-      for (volatile int spin = 0; spin < 2'000'000; ++spin) {
+    if (i == 0) {
+      std::atomic<int> spin{0};
+      while (spin.fetch_add(1, std::memory_order_relaxed) < 2'000'000) {
       }
+    }
     done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 64);

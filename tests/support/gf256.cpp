@@ -1,4 +1,4 @@
-#include "gf/gf256.hpp"
+#include "support/gf256.hpp"
 
 #include <array>
 
