@@ -14,16 +14,31 @@ namespace nab::gf {
 
 namespace detail {
 
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool address_sanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+inline constexpr bool address_sanitized = true;
+#else
+inline constexpr bool address_sanitized = false;
+#endif
+#else
+inline constexpr bool address_sanitized = false;
+#endif
+
 /// Matrix storage allocator: blocks of 1 MiB or more are mapped straight
 /// from the OS and unmapped when freed, smaller ones come from the heap.
 /// Through malloc, freeing one large block raises glibc's dynamic mmap
 /// threshold, so the next block of that size lands in the brk heap, and the
 /// process's peak RSS then depends on how that heap happens to be
-/// fragmented.
+/// fragmented. Under AddressSanitizer every block comes from the heap, so
+/// the largest matrices keep their redzones and an index past the last row
+/// is reported instead of landing in page slack.
 template <class T>
 struct large_block_allocator {
   using value_type = T;
-  static constexpr std::size_t min_mapped_bytes = std::size_t{1} << 20;
+  static constexpr std::size_t min_mapped_bytes =
+      address_sanitized ? ~std::size_t{0} : std::size_t{1} << 20;
 
   large_block_allocator() = default;
   template <class U>
