@@ -1,10 +1,11 @@
 // Ablation A3: the classical-BB engine behind step 2.2. The paper only
 // requires *some* capacity-oblivious BB for the 1-bit flags; its cost enters
-// the O(n^alpha) term that large L amortizes. This bench compares the two
-// engines the library ships — EIG (PSL'80, n > 3f, exponential messages) and
-// phase-king (n > 4f, polynomial) — as n grows, and shows that either choice
-// leaves end-to-end NAB throughput unchanged once L is large (the paper's
-// point: the flag term is a constant in L).
+// the O(n^alpha) term that large L amortizes. The library ships one engine,
+// the batched phase king, which runs two-round phases when n > 4f and
+// three-round phases (Berman, Garay & Perry) when 3f < n <= 4f. This bench
+// prices both variants at their resilience edges (n = 3f+1 and n = 4f+1)
+// and shows that end-to-end NAB throughput is unchanged once L is large (the
+// paper's point: the flag term is a constant in L).
 
 #include <cstdio>
 
@@ -15,26 +16,23 @@
 
 namespace {
 
-double one_bit_cost(const nab::graph::digraph& g, int f, nab::bb::bb_protocol proto) {
+double one_bit_cost(const nab::graph::digraph& g, int f) {
   using namespace nab;
   sim::network net(g);
   sim::fault_set faults(g.universe());
   bb::channel_plan plan(g, f);
-  const auto r = bb::broadcast_default(plan, net, faults, 0, {1}, f, 1, proto);
-  return r.time;
+  return bb::broadcast_default(plan, net, faults, 0, {1}, f, 1).time;
 }
 
 }  // namespace
 
 int main() {
   using namespace nab;
-  std::printf("A3: classical-BB engine ablation (1-bit broadcast cost, f=1)\n");
-  std::printf("  %-6s %-14s %-14s\n", "n", "EIG time", "phase-king time");
-  for (int n : {5, 6, 8, 10, 12}) {
-    const graph::digraph g = graph::complete(n);
-    std::printf("  %-6d %-14.2f %-14.2f\n", n, one_bit_cost(g, 1, bb::bb_protocol::eig),
-                one_bit_cost(g, 1, bb::bb_protocol::phase_king));
-  }
+  std::printf("A3: phase-king ablation (1-bit broadcast cost on K_n)\n");
+  std::printf("  %-4s %-26s %-26s\n", "f", "three-round, n = 3f+1", "two-round, n = 4f+1");
+  for (int f = 1; f <= 4; ++f)
+    std::printf("  %-4d %-26.2f %-26.2f\n", f, one_bit_cost(graph::complete(3 * f + 1), f),
+                one_bit_cost(graph::complete(4 * f + 1), f));
 
   std::printf("\n  end-to-end NAB throughput vs L (K5, f=1, fault-free):\n");
   std::printf("  %-12s %-14s %-16s\n", "L (bits)", "throughput", "flag-time share");

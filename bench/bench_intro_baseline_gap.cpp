@@ -3,8 +3,8 @@
 // is arbitrarily worse than the optimal throughput."
 //
 // Construction: K_n with every link of capacity c except one weak unit link.
-// A capacity-oblivious classical BB (here: PSL/EIG over direct links, the
-// kind of algorithm the related work proposes) ships the full L-bit value
+// A capacity-oblivious classical BB (here: the library's phase king over
+// direct links, the kind of algorithm the related work proposes) ships the full L-bit value
 // across EVERY channel, so the weak link throttles each round to L time
 // units and throughput stays O(1) no matter how large c is. NAB's Phase 1
 // and Equality Check scale with gamma_k and rho_k ~ O(c): the measured gap
@@ -19,8 +19,8 @@
 
 namespace {
 
-/// Throughput of L-bit classical BB (EIG) used directly as the broadcast
-/// algorithm, on the given network.
+/// Throughput of L-bit classical BB (bb::broadcast_default) used directly as
+/// the broadcast algorithm, on the given network.
 double baseline_throughput(const nab::graph::digraph& g, int f, std::size_t words) {
   using namespace nab;
   sim::network net(g);
@@ -29,8 +29,7 @@ double baseline_throughput(const nab::graph::digraph& g, int f, std::size_t word
   rng rand(5);
   bb::value blob((words + 3) / 4);
   for (auto& w : blob) w = rand.next_u64();
-  const auto r = bb::broadcast_default(plan, net, faults, 0, blob, f, 16 * words,
-                                       bb::bb_protocol::eig);
+  const auto r = bb::broadcast_default(plan, net, faults, 0, blob, f, 16 * words);
   return 16.0 * static_cast<double>(words) / r.time;
 }
 

@@ -18,9 +18,9 @@
 //   --source S        broadcasting node (default 0)
 //   --corrupt A,B     corrupt node ids (default none)
 //   --adversary KIND  honest|p1garble|equivocate|p2lie|falseflag|stealth|chaos
-//   --claim-backend B Phase-3 DC1 engine: auto|eig|phase_king|collapsed
-//                     (default eig — the oracle; collapsed is the
-//                     polynomial-traffic Bracha-style backend)
+//   --claim-backend B Phase-3 DC1 engine: collapsed (default; the
+//                     Bracha-style digest-quorum backend) | phase_king
+//                     (the batched phase king over full transcripts)
 //   --q Q             instances (default 8)
 //   --words W         16-bit words per input, L = 16 W bits (default 64)
 //   --seed S          RNG seed (default 1)
@@ -52,7 +52,7 @@ struct options {
   nab::graph::node_id source = 0;
   std::vector<nab::graph::node_id> corrupt;
   std::string adversary = "honest";
-  std::string claim_backend = "eig";
+  std::string claim_backend = "collapsed";
   int q = 8;
   std::size_t words = 64;
   std::uint64_t seed = 1;
@@ -65,7 +65,7 @@ struct options {
                "usage: nabsim run|bounds|pipeline [--topology FILE | --n N --cap C] "
                "[--f F] [--source S]\n"
                "              [--corrupt A,B] [--adversary KIND] "
-               "[--claim-backend auto|eig|phase_king|collapsed]\n"
+               "[--claim-backend collapsed|phase_king]\n"
                "              [--q Q] [--words W] [--seed S] [--tsv]\n"
                "              [--loss none|zero|light|bursty|heavy|pG,pB,pG2B,pB2G]\n");
   std::exit(2);
@@ -142,8 +142,6 @@ std::unique_ptr<nab::core::nab_adversary> make_adversary(const options& o) {
 
 nab::bb::claim_backend parse_claim_backend(const std::string& s) {
   using nab::bb::claim_backend;
-  if (s == "auto") return claim_backend::auto_select;
-  if (s == "eig") return claim_backend::eig;
   if (s == "phase_king") return claim_backend::phase_king;
   if (s == "collapsed") return claim_backend::collapsed;
   std::fprintf(stderr, "unknown claim backend '%s'\n", s.c_str());

@@ -142,23 +142,6 @@ std::vector<claim_digest> claim_digests_of(const std::vector<const value*>& payl
   return out;
 }
 
-claim_backend resolve_claim_backend(claim_backend requested,
-                                    std::size_t participants, int f) {
-  if (requested != claim_backend::auto_select) return requested;
-  // EIG forwards every label of every round: sum_{r<=f} n^r labels per
-  // instance, each relayed to n receivers, each carrying the full L-bit
-  // transcript. Past ~2k forwarded labels per instance that term dominates
-  // DC1, so auto hands claims to the collapsed backend (correct for any
-  // n > 3f). Registry-size inputs (n <= 64, f <= 9) cannot overflow.
-  std::uint64_t labels = 1, level = 1;
-  for (int r = 0; r < f; ++r) {
-    level *= participants;
-    labels += level;
-  }
-  return labels * participants > 2048 ? claim_backend::collapsed
-                                      : claim_backend::eig;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -172,7 +155,7 @@ namespace {
 //   digest item:  [q, digest]                 (echo, ready)
 //   index item:   [q]                         (retrieval requests)
 // Parsers are defensive: a tampered batch yields as many well-formed prefix
-// items as survive, mirroring bb/eig.cpp's next_item.
+// items as survive.
 
 void append_payload_item(sim::payload& out, std::size_t q, const value& v) {
   out.push_back(q);
@@ -250,30 +233,6 @@ bool next_index_item(const sim::payload& w, std::size_t& pos, std::size_t& q) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// EIG oracle backend.
-// ---------------------------------------------------------------------------
-
-claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
-                                   const sim::fault_set& faults,
-                                   const std::vector<claim_instance>& instances,
-                                   int f, eig_adversary* adv,
-                                   relay_adversary* relay_adv) {
-  std::vector<eig_instance> eigs;
-  eigs.reserve(instances.size());
-  for (const claim_instance& inst : instances) {
-    NAB_ASSERT(inst.value_bits > 0, "claim instance needs a wire size");
-    eigs.push_back({inst.source, inst.input, inst.value_bits});
-  }
-  eig_result eig = eig_broadcast_all(channels, net, faults, eigs, f,
-                                     /*value_bits=*/64, adv, relay_adv,
-                                     claim_traffic_tag);
-  claim_outcome out;
-  out.agreed = std::move(eig.decisions);
-  out.time = eig.time;
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Collapsed-claim Bracha-style backend.
@@ -680,37 +639,17 @@ claim_outcome broadcast_claims_collapsed(
 claim_outcome broadcast_claims(claim_backend backend, channel_plan& channels,
                                sim::network& net, const sim::fault_set& faults,
                                const std::vector<claim_instance>& instances, int f,
-                               eig_adversary* eig_adv, claim_adversary* claim_adv,
-                               relay_adversary* relay_adv,
+                               claim_adversary* claim_adv, relay_adversary* relay_adv,
                                std::uint64_t digest_seed) {
-  const std::size_t participants = channels.topology().active_nodes().size();
-  switch (resolve_claim_backend(backend, participants, f)) {
-    case claim_backend::eig: {
-      obs::scoped_span span("claim_backend_eig", net.elapsed());
-      claim_outcome out = broadcast_claims_eig(channels, net, faults, instances,
-                                               f, eig_adv, relay_adv);
-      span.end_tau(net.elapsed());
-      return out;
-    }
-    case claim_backend::phase_king: {
-      obs::scoped_span span("claim_backend_phase_king", net.elapsed());
-      claim_outcome out = broadcast_claims_phase_king(channels, net, faults,
-                                                      instances, f, relay_adv);
-      span.end_tau(net.elapsed());
-      return out;
-    }
-    case claim_backend::collapsed: {
-      obs::scoped_span span("claim_backend_collapsed", net.elapsed());
-      claim_outcome out = broadcast_claims_collapsed(
-          channels, net, faults, instances, f, claim_adv, relay_adv, digest_seed);
-      span.end_tau(net.elapsed());
-      return out;
-    }
-    case claim_backend::auto_select:
-      break;  // unreachable: resolve_claim_backend never returns it
-  }
-  NAB_ASSERT(false, "unresolved claim backend");
-  return {};
+  const bool pk = backend == claim_backend::phase_king;
+  obs::scoped_span span(pk ? "claim_backend_phase_king" : "claim_backend_collapsed",
+                        net.elapsed());
+  claim_outcome out =
+      pk ? broadcast_claims_phase_king(channels, net, faults, instances, f, relay_adv)
+         : broadcast_claims_collapsed(channels, net, faults, instances, f, claim_adv,
+                                      relay_adv, digest_seed);
+  span.end_tau(net.elapsed());
+  return out;
 }
 
 }  // namespace nab::bb

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "bb/channels.hpp"
-#include "bb/eig.hpp"
+#include "bb/phase_king.hpp"
 #include "graph/digraph.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
@@ -14,23 +14,16 @@
 namespace nab::bb {
 
 /// Which engine disseminates the Phase-3 claim transcripts (Appendix B,
-/// DC1). All backends provide the same contract — every honest participant
+/// DC1). Both backends provide the same contract — every honest participant
 /// decides the same payload per claimant, equal to the claimant's input when
 /// the claimant is honest — so dispute control is backend-oblivious and the
 /// dispute sets / convictions / agreed values are byte-identical across
-/// backends (pinned by tests/bb/test_claim_backend_equivalence.cpp).
+/// backends (pinned against the EIG oracle by
+/// tests/bb/test_claim_backend_equivalence.cpp).
 enum class claim_backend {
-  /// collapsed when EIG's forwarded-label count would dominate DC1
-  /// (participants * sum_{r<=f} n^r > 2048), else eig. Resolved by
-  /// resolve_claim_backend at the session boundary.
-  auto_select,
-  /// The seed path and correctness oracle: PSL'80 EIG over the full
-  /// transcripts. Theta(n^f) * L claim traffic — the documented
-  /// hypercube_d5 bottleneck, infeasible at n >= 64.
-  eig,
-  /// Batched multi-valued phase-king over the full transcripts: polynomial
-  /// O(n^2 * L * f) traffic, but pays L on every exchange round. Requires
-  /// participants > 4f (the simple phase-king variant's price).
+  /// Batched multi-valued phase-king over the full transcripts (the engine
+  /// in bb/phase_king.cpp): polynomial O(n^2 * L * f) traffic, but pays L on
+  /// every exchange round.
   phase_king,
   /// Collapsed-claim Bracha-style broadcast: fixed-size GF(2^16) transcript
   /// digests (evaluation points seeded per run) travel through echo/ready
@@ -38,8 +31,8 @@ enum class claim_backend {
   /// (claimant, receiver) pair; digest-mismatched pairs (the disputed
   /// minority) fall back to a retrieval round asking <= 2f+1 of the
   /// echoer-holders, among which the >= f+1 honest holders any accepted
-  /// digest guarantees always answer. DC1 drops from Theta(n^f) * L to
-  /// O(n^2 * digest + disputes * f * L).
+  /// digest guarantees always answer. DC1 costs O(n^2 * digest + disputes *
+  /// f * L). The default.
   collapsed,
 };
 
@@ -47,21 +40,6 @@ enum class claim_backend {
 /// the channel emulation onto every link-level charge), so a sim::trace can
 /// account DC1 claim bytes per backend — see trace::tag_total.
 inline constexpr std::uint64_t claim_traffic_tag = 0xC1A1B;
-
-/// True iff the simple phase-king variant tolerates f faults among this many
-/// participants (> 4f). Every auto_select boundary (session construction,
-/// flag-engine resolution, the claim dispatcher) checks this up front so an
-/// undersized group is rejected cleanly instead of tripping an invariant
-/// deep inside a run.
-constexpr bool phase_king_admissible(std::size_t participants, int f) {
-  return participants > 4 * static_cast<std::size_t>(f);
-}
-
-/// Resolves auto_select for the given participant count. Never returns
-/// auto_select; never returns phase_king (the batched phase-king path is an
-/// explicit ablation choice, not an auto default).
-claim_backend resolve_claim_backend(claim_backend requested,
-                                    std::size_t participants, int f);
 
 /// Fixed-size transcript digest: the payload (length-prefixed, split into
 /// 16-bit limbs) evaluated as a polynomial over GF(2^16) at four evaluation
@@ -139,9 +117,9 @@ struct claim_outcome {
 
 /// Adversary hooks for corrupt participants of the collapsed backend. Every
 /// hook receives what an honest node would have sent; the default behaves
-/// honestly, so strategies override only their attack surface. (The EIG
-/// backend keeps its own eig_adversary; the batched phase-king path carries
-/// no in-protocol hooks — corrupt claimants there lie via their inputs.)
+/// honestly, so strategies override only their attack surface. (The batched
+/// phase-king path carries no in-protocol hooks — corrupt claimants there lie
+/// via their inputs.)
 class claim_adversary {
  public:
   virtual ~claim_adversary() = default;
@@ -205,16 +183,9 @@ class claim_adversary {
   }
 };
 
-/// EIG oracle backend: the seed's DC1 path, reshaped to the interface.
-claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
-                                   const sim::fault_set& faults,
-                                   const std::vector<claim_instance>& instances,
-                                   int f, eig_adversary* adv = nullptr,
-                                   relay_adversary* relay_adv = nullptr);
-
-/// Batched multi-valued phase-king backend (participants > 4f): one
-/// dissemination round, then f+1 phases of all-to-all exchange + king
-/// broadcast, all instances sharing rounds (the engine in bb/phase_king.cpp).
+/// Batched multi-valued phase-king backend (participants > 3f): one
+/// dissemination round, then f+1 phases of two or three rounds, all
+/// instances sharing rounds (the engine in bb/phase_king.cpp).
 claim_outcome broadcast_claims_phase_king(
     channel_plan& channels, sim::network& net, const sim::fault_set& faults,
     const std::vector<claim_instance>& instances, int f,
@@ -231,13 +202,10 @@ claim_outcome broadcast_claims_collapsed(
     claim_adversary* adv = nullptr, relay_adversary* relay_adv = nullptr,
     std::uint64_t digest_seed = 0);
 
-/// Dispatches on a *resolved* backend (auto_select is resolved here too, on
-/// the channel plan's participant count). The phase-king backend asserts its
-/// > 4f precondition at this boundary.
+/// Dispatches on `backend`, inside a claim_backend_<name> span.
 claim_outcome broadcast_claims(claim_backend backend, channel_plan& channels,
                                sim::network& net, const sim::fault_set& faults,
                                const std::vector<claim_instance>& instances, int f,
-                               eig_adversary* eig_adv = nullptr,
                                claim_adversary* claim_adv = nullptr,
                                relay_adversary* relay_adv = nullptr,
                                std::uint64_t digest_seed = 0);

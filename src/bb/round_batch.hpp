@@ -13,7 +13,7 @@ namespace nab::bb {
 /// (synchronous rounds make per-item messages and one batch
 /// indistinguishable on the wire); bits are accumulated per item, so the
 /// charge is exactly what per-item messages would have cost. Shared by the
-/// EIG engine and every claim backend — one implementation of the
+/// claim backends (and the EIG oracle in tests/bb/) — one implementation of the
 /// wire-batching contract.
 struct round_batch {
   sim::payload payload;

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "bb/claim_bcast.hpp"
-#include "bb/eig.hpp"
+#include "bb/phase_king.hpp"
 #include "core/coding.hpp"
 #include "core/value.hpp"
 #include "graph/digraph.hpp"
@@ -111,10 +111,10 @@ class nab_adversary {
     return honest;
   }
 
-  /// Optional adversary for the classical-BB sub-protocols (flag broadcast,
-  /// claim dissemination). nullptr = corrupt nodes behave honestly *inside*
-  /// BB (they can still lie via the inputs above).
-  virtual bb::eig_adversary* eig() { return nullptr; }
+  /// Optional adversary inside the step-2.2 flag broadcast (the batched
+  /// phase-king engine). nullptr = corrupt nodes behave honestly *inside* BB
+  /// (they can still lie via phase2_flag above).
+  virtual bb::pk_adversary* pk() { return nullptr; }
 
   /// Optional adversary for the collapsed claim-broadcast backend (digest
   /// equivocation, echo suppression, forged retrievals). nullptr = corrupt

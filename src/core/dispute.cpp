@@ -117,7 +117,6 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
     obs::scoped_span span("dc1_claims", net.elapsed());
     bb_out = bb::broadcast_claims(
         backend, channels, net, faults, instances, f_bb,
-        adv != nullptr ? adv->eig() : nullptr,
         adv != nullptr ? adv->claim_bcast() : nullptr,
         adv != nullptr ? adv->relay() : nullptr, digest_seed);
     span.end_tau(net.elapsed());

@@ -157,8 +157,9 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
         if (ec.flags[static_cast<std::size_t>(v)])
           throw error("pipeline: unexpected mismatch in a fault-free run");
       std::vector<bool> flag_inputs(static_cast<std::size_t>(universe), false);
-      const auto flags = bb::broadcast_flags(channels, net, faults, flag_inputs, cfg.f,
-                                             g.active_nodes());
+      const auto flags = bb::broadcast_flags_phase_king(channels, net, faults,
+                                                        flag_inputs, cfg.f,
+                                                        g.active_nodes());
       flags_time_total += flags.time;
     }
   }

@@ -30,22 +30,6 @@ session::session(session_config cfg, const sim::fault_set& faults, nab_adversary
   NAB_ASSERT(cfg_.g.is_active(cfg_.source), "source must exist in G");
   NAB_ASSERT(faults_.universe() == n, "fault set universe mismatch");
   NAB_ASSERT(faults_.count() <= cfg_.f, "more corrupt nodes than the budget f");
-
-  // Phase-king engines require > 4f participants (the classical-BB
-  // sub-protocols run over the whole original network G). Reject an
-  // undersized explicit selection here — the auto_select boundary — instead
-  // of tripping an invariant deep inside the first flag or claim round.
-  const std::size_t participants = cfg_.g.active_nodes().size();
-  if (cfg_.flag_protocol == bb::bb_protocol::phase_king &&
-      !bb::phase_king_admissible(participants, cfg_.f))
-    throw error("session: phase-king flag broadcast needs more than 4f "
-                "participants (n=" + std::to_string(participants) +
-                ", f=" + std::to_string(cfg_.f) + ") — use eig or auto_select");
-  if (cfg_.claim_backend == bb::claim_backend::phase_king &&
-      !bb::phase_king_admissible(participants, cfg_.f))
-    throw error("session: phase-king claim backend needs more than 4f "
-                "participants (n=" + std::to_string(participants) +
-                ", f=" + std::to_string(cfg_.f) + ") — use eig or collapsed");
 }
 
 void session::refresh_graph_state() {
@@ -234,27 +218,13 @@ instance_report session::run_instance(const std::vector<word>& input,
       }
       flag_inputs[static_cast<std::size_t>(v)] = flag;
     }
-    bb::bb_protocol engine = cfg_.flag_protocol;
-    if (engine == bb::bb_protocol::auto_select) {
-      const auto participants = ensure_channels().topology().active_nodes().size();
-      engine = bb::phase_king_admissible(participants, cfg_.f)
-                   ? bb::bb_protocol::phase_king
-                   : bb::bb_protocol::eig;
-    }
     bb::flags_outcome flags;
     {
       obs::scoped_span span("flags", net.elapsed());
-      flags =
-          engine == bb::bb_protocol::phase_king
-              ? bb::broadcast_flags_phase_king(ensure_channels(), net, faults_,
-                                               flag_inputs, cfg_.f,
-                                               gk_.active_nodes(), nullptr,
-                                               adv_ != nullptr ? adv_->relay()
-                                                               : nullptr)
-              : bb::broadcast_flags(ensure_channels(), net, faults_, flag_inputs,
-                                    cfg_.f, gk_.active_nodes(),
-                                    adv_ != nullptr ? adv_->eig() : nullptr,
-                                    adv_ != nullptr ? adv_->relay() : nullptr);
+      flags = bb::broadcast_flags_phase_king(
+          ensure_channels(), net, faults_, flag_inputs, cfg_.f, gk_.active_nodes(),
+          adv_ != nullptr ? adv_->pk() : nullptr,
+          adv_ != nullptr ? adv_->relay() : nullptr);
       span.end_tau(net.elapsed());
     }
     report.time_flags = flags.time;
@@ -307,9 +277,7 @@ instance_report session::run_instance(const std::vector<word>& input,
       // (an inert zero-loss model changes nothing — the byte-identity guard).
       ctx.lossy_links = net.lossy();
 
-      // auto_select resolves inside broadcast_claims, on the channel plan's
-      // participant count — one resolution authority for every caller. The
-      // coding seed doubles as the digest-point seed: per-run shared
+      // The coding seed doubles as the digest-point seed: per-run shared
       // protocol state, exactly like the coding matrices.
       //
       // The BB sub-protocols get the *remaining* fault budget: every

@@ -38,20 +38,15 @@ struct session_config {
   /// elimination and silently skipped them.
   std::uint64_t certify_cost_limit = 1'000'000'000;
   propagation_mode propagation = propagation_mode::cut_through;
-  /// Classical-BB engine for the step-2.2 flag broadcast. auto_select uses
-  /// phase-king when the participant count allows (> 4f), else EIG; the
-  /// choice cannot affect asymptotic throughput (ablation A3). Explicitly
-  /// requesting phase_king on <= 4f participants is rejected at session
-  /// construction (the auto_select boundary), not deep inside a run.
-  bb::bb_protocol flag_protocol = bb::bb_protocol::eig;
-  /// Claim-dissemination backend for Phase-3 DC1 (bb/claim_bcast.hpp): eig
-  /// is the seed path and correctness oracle at Theta(n^f) * L claim
-  /// traffic; collapsed drops DC1 to O(n^2 digest + disputes * L), which is
-  /// what opens the n >= 64 presets; phase_king is the polynomial
-  /// full-transcript midpoint (> 4f participants, validated at
-  /// construction). Dispute sets, convictions, and agreed values are
+  /// Read by nothing: the step-2.2 flags always run the batched phase king
+  /// (bb/broadcast.hpp), which picks its phase from (participants, f).
+  bb::bb_protocol flag_protocol = bb::bb_protocol::auto_select;
+  /// Claim-dissemination backend for Phase-3 DC1 (bb/claim_bcast.hpp):
+  /// collapsed costs O(n^2 digest + disputes * L), which is what opens the
+  /// n >= 64 presets; phase_king is the polynomial full-transcript
+  /// alternative. Dispute sets, convictions, and agreed values are
   /// byte-identical across backends.
-  bb::claim_backend claim_backend = bb::claim_backend::eig;
+  bb::claim_backend claim_backend = bb::claim_backend::collapsed;
   /// Pool per-instance protocol memory (transcripts, claim maps, payloads)
   /// in a run arena that resets between instances. Results are bit-identical
   /// either way — the switch exists for the arena-equivalence property tests

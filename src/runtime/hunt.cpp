@@ -352,7 +352,6 @@ std::vector<scenario> hunt_contexts(std::string_view families,
     c.family = "hunt";
     c.adversary = adversary_kind::hunted;
     c.claim_backend = bb::claim_backend::collapsed;
-    c.flag_protocol = bb::bb_protocol::eig;
     c.propagation = core::propagation_mode::cut_through;
     c.words = words;
     if (instances > 0) c.instances = instances;

@@ -93,7 +93,6 @@ struct run_record {
   int f = 0;
   std::string adversary;
   std::string propagation;
-  std::string flag_protocol;
   std::string claim_backend;      ///< Phase-3 DC1 claim-dissemination engine
   std::string loss = "none";      ///< link-fault spec ("none" = perfect links)
   int instances = 0;

@@ -82,7 +82,6 @@ run_record execute_scenario(const scenario& s, int run_index,
   rec.f = s.f;
   rec.adversary = to_string(s.adversary);
   rec.propagation = to_string(s.propagation);
-  rec.flag_protocol = to_string(s.flag_protocol);
   rec.claim_backend = to_string(s.claim_backend);
   rec.instances = s.instances;
   rec.words = s.words;
@@ -231,7 +230,6 @@ run_record execute_scenario(const scenario& s, int run_index,
   cfg.source = s.source;
   cfg.coding_seed = splitmix64(run_seed ^ 0x5eedULL);
   cfg.propagation = s.propagation;
-  cfg.flag_protocol = s.flag_protocol;
   cfg.claim_backend = s.claim_backend;
   cfg.certify_cost_limit = s.certify_cost_limit;
   cfg.pool_memory = s.pool_memory;

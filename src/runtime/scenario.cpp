@@ -104,9 +104,6 @@ std::string axis_suffix(const scenario_family& fam, const scenario& s) {
   if (fam.adversaries.size() > 1) out += "/" + to_string(s.adversary);
   if (fam.word_counts.size() > 1) out += "/w" + std::to_string(s.words);
   if (fam.propagations.size() > 1) out += "/" + to_string(s.propagation);
-  if (fam.flag_protocols.size() > 1) out += "/" + to_string(s.flag_protocol);
-  // "cb-" disambiguates from the flag-protocol suffix (both axes share the
-  // "eig"/"phase_king" value names).
   if (fam.claim_backends.size() > 1) out += "/cb-" + to_string(s.claim_backend);
   if (fam.losses.size() > 1) out += "/loss-" + s.loss;
   return out;
@@ -117,7 +114,7 @@ std::string axis_suffix(const scenario_family& fam, const scenario& s) {
 std::vector<scenario> scenario_family::expand() const {
   NAB_ASSERT(!topologies.empty() && !fault_budgets.empty() && !adversaries.empty() &&
                  !word_counts.empty() && !propagations.empty() &&
-                 !flag_protocols.empty() && !claim_backends.empty() && !losses.empty(),
+                 !claim_backends.empty() && !losses.empty(),
              "scenario_family with an empty axis");
   std::vector<scenario> out;
   for (const topology_spec& topo : topologies)
@@ -125,26 +122,24 @@ std::vector<scenario> scenario_family::expand() const {
       for (adversary_kind adv : adversaries)
         for (std::uint64_t w : word_counts)
           for (core::propagation_mode prop : propagations)
-            for (bb::bb_protocol proto : flag_protocols)
-              for (bb::claim_backend backend : claim_backends)
-                for (const std::string& loss : losses) {
-                  scenario s;
-                  s.family = name;
-                  s.topology = topo;
-                  s.f = f;
-                  s.adversary = adv;
-                  s.words = w;
-                  s.propagation = prop;
-                  s.flag_protocol = proto;
-                  s.claim_backend = backend;
-                  s.loss = loss;
-                  s.instances = instances;
-                  s.rotate_sources = rotate_sources;
-                  s.certify_cost_limit = certify_cost_limit;
-                  if (adv == adversary_kind::hunted) s.genome = genome;
-                  s.name = name + axis_suffix(*this, s);
-                  out.push_back(std::move(s));
-                }
+            for (bb::claim_backend backend : claim_backends)
+              for (const std::string& loss : losses) {
+                scenario s;
+                s.family = name;
+                s.topology = topo;
+                s.f = f;
+                s.adversary = adv;
+                s.words = w;
+                s.propagation = prop;
+                s.claim_backend = backend;
+                s.loss = loss;
+                s.instances = instances;
+                s.rotate_sources = rotate_sources;
+                s.certify_cost_limit = certify_cost_limit;
+                if (adv == adversary_kind::hunted) s.genome = genome;
+                s.name = name + axis_suffix(*this, s);
+                out.push_back(std::move(s));
+              }
   return out;
 }
 
@@ -271,7 +266,6 @@ std::vector<scenario_family> build_registry() {
     fam.topologies = {{.kind = tk::complete, .n = 16, .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {1, 2};
     fam.adversaries = {ak::honest, ak::stealth};
-    fam.flag_protocols = {bb::bb_protocol::auto_select};
     fam.instances = 4;
     reg.push_back(std::move(fam));
   }
@@ -280,16 +274,13 @@ std::vector<scenario_family> build_registry() {
     fam.name = "hypercube_d5";
     fam.description =
         "Binary hypercube dim 5 (32 nodes, connectivity 5, f <= 2): the "
-        "structured-sparse scaling point. Flags run phase-king via "
-        "auto_select, and the "
-        "claim backend auto-collapses at f = 2 (EIG's Theta(n^f)*L DC1 was "
-        "the documented n=32 bottleneck: 12.7 GiB of claim traffic per "
-        "dispute phase, now 23 MiB).";
+        "structured-sparse scaling point. The collapsed claim backend keeps "
+        "DC1 polynomial (EIG's Theta(n^f)*L DC1 was the documented n=32 "
+        "bottleneck: 12.7 GiB of claim traffic per dispute phase, now "
+        "23 MiB).";
     fam.topologies = {{.kind = tk::hypercube, .param_a = 5, .cap_lo = 2}};
     fam.fault_budgets = {1, 2};
     fam.adversaries = {ak::honest, ak::p1_garble};
-    fam.flag_protocols = {bb::bb_protocol::auto_select};
-    fam.claim_backends = {bb::claim_backend::auto_select};
     fam.instances = 3;
     reg.push_back(std::move(fam));
   }
@@ -303,7 +294,6 @@ std::vector<scenario_family> build_registry() {
     fam.topologies = {{.kind = tk::clustered_wan, .param_a = 5, .param_b = 4,
                        .cap_lo = 4, .cap_hi = 1}};
     fam.adversaries = {ak::honest, ak::p1_garble, ak::stealth};
-    fam.flag_protocols = {bb::bb_protocol::auto_select};
     fam.instances = 4;
     reg.push_back(std::move(fam));
   }
@@ -325,8 +315,6 @@ std::vector<scenario_family> build_registry() {
                        .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {1};
     fam.adversaries = {ak::honest, ak::p1_garble};
-    fam.flag_protocols = {bb::bb_protocol::auto_select};
-    fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 2;
     fam.certify_cost_limit = 4'000'000'000;
     reg.push_back(std::move(fam));
@@ -343,8 +331,6 @@ std::vector<scenario_family> build_registry() {
     fam.topologies = {{.kind = tk::hypercube, .param_a = 6, .cap_lo = 1}};
     fam.fault_budgets = {1, 2};
     fam.adversaries = {ak::honest, ak::p1_garble};
-    fam.flag_protocols = {bb::bb_protocol::auto_select};
-    fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 2;
     fam.certify_cost_limit = 4'000'000'000;
     reg.push_back(std::move(fam));
@@ -368,8 +354,6 @@ std::vector<scenario_family> build_registry() {
     fam.topologies = {{.kind = tk::complete, .n = 64, .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {1};
     fam.adversaries = {ak::honest};
-    fam.flag_protocols = {bb::bb_protocol::auto_select};
-    fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 2;
     fam.certify_cost_limit = 64'000'000'000;
     reg.push_back(std::move(fam));
@@ -387,8 +371,6 @@ std::vector<scenario_family> build_registry() {
     fam.topologies = {{.kind = tk::hypercube, .param_a = 7, .cap_lo = 1}};
     fam.fault_budgets = {1};
     fam.adversaries = {ak::honest, ak::p1_garble};
-    fam.flag_protocols = {bb::bb_protocol::auto_select};
-    fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 2;
     reg.push_back(std::move(fam));
   }
@@ -438,16 +420,15 @@ std::vector<scenario_family> build_registry() {
     scenario_family fam;
     fam.name = "ablation-claims";
     fam.description =
-        "EIG vs batched phase-king vs collapsed for the Phase-3 claim "
-        "broadcast on K_9 with an f = 2 coalition (false flags force a "
-        "dispute phase every instance; stealth farms real disputes): "
-        "dispute sets, convictions, and agreed values must be byte-identical "
-        "across backends — only the DC1 claim bytes move.";
+        "Batched phase-king vs collapsed for the Phase-3 claim broadcast on "
+        "K_9 with an f = 2 coalition (false flags force a dispute phase "
+        "every instance; stealth farms real disputes; phase-1 garbling "
+        "convicts): dispute sets, convictions, and agreed values must be "
+        "byte-identical across backends — only the DC1 claim bytes move.";
     fam.topologies = {{.kind = tk::complete, .n = 9, .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {2};
-    fam.adversaries = {ak::false_flag, ak::stealth};
-    fam.claim_backends = {bb::claim_backend::eig, bb::claim_backend::phase_king,
-                          bb::claim_backend::collapsed};
+    fam.adversaries = {ak::false_flag, ak::stealth, ak::p1_garble};
+    fam.claim_backends = {bb::claim_backend::phase_king, bb::claim_backend::collapsed};
     fam.instances = 4;
     reg.push_back(std::move(fam));
   }
@@ -455,11 +436,13 @@ std::vector<scenario_family> build_registry() {
     scenario_family fam;
     fam.name = "ablation-flags";
     fam.description =
-        "EIG vs phase-king for the step-2.2 flag broadcast (A3: the choice "
-        "must not affect correctness, only constant-factor overhead).";
-    fam.topologies = {{.kind = tk::complete, .n = 6, .cap_lo = 1, .cap_hi = 1}};
+        "The step-2.2 flag broadcast across the phase king's two/three-round "
+        "boundary at f = 1: K_4 (n <= 4f) runs three-round phases, K_5 "
+        "two-round ones (A3: the phase must not affect correctness, only "
+        "constant-factor overhead).";
+    fam.topologies = {{.kind = tk::complete, .n = 4, .cap_lo = 1, .cap_hi = 1},
+                      {.kind = tk::complete, .n = 5, .cap_lo = 1, .cap_hi = 1}};
     fam.adversaries = {ak::p1_garble, ak::false_flag};
-    fam.flag_protocols = {bb::bb_protocol::eig, bb::bb_protocol::phase_king};
     fam.instances = 4;
     reg.push_back(std::move(fam));
   }
@@ -484,7 +467,6 @@ std::vector<scenario_family> build_registry() {
     fam.fault_budgets = {2};
     fam.adversaries = {ak::hunted};
     fam.word_counts = {16};
-    fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 4;
     fam.genome =
         "p1_source=0,p1_forward=255,p2_lie=0,flag_flip=0,claim_tamper=0,"
@@ -505,7 +487,6 @@ std::vector<scenario_family> build_registry() {
     fam.fault_budgets = {2};
     fam.adversaries = {ak::hunted};
     fam.word_counts = {16};
-    fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 4;
     fam.genome =
         "p1_source=128,p1_forward=255,p2_lie=0,flag_flip=0,claim_tamper=128,"
@@ -525,7 +506,6 @@ std::vector<scenario_family> build_registry() {
     fam.fault_budgets = {2};
     fam.adversaries = {ak::hunted};
     fam.word_counts = {16};
-    fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 4;
     fam.genome =
         "p1_source=0,p1_forward=255,p2_lie=0,flag_flip=0,claim_tamper=0,"
@@ -546,7 +526,6 @@ std::vector<scenario_family> build_registry() {
     fam.fault_budgets = {2};
     fam.adversaries = {ak::hunted};
     fam.word_counts = {16};
-    fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 4;
     fam.genome =
         "p1_source=0,p1_forward=0,p2_lie=255,flag_flip=255,claim_tamper=128,"
@@ -709,19 +688,8 @@ std::string to_string(core::propagation_mode m) {
   return "?";
 }
 
-std::string to_string(bb::bb_protocol p) {
-  switch (p) {
-    case bb::bb_protocol::auto_select: return "auto";
-    case bb::bb_protocol::eig: return "eig";
-    case bb::bb_protocol::phase_king: return "phase_king";
-  }
-  return "?";
-}
-
 std::string to_string(bb::claim_backend b) {
   switch (b) {
-    case bb::claim_backend::auto_select: return "auto";
-    case bb::claim_backend::eig: return "eig";
     case bb::claim_backend::phase_king: return "phase_king";
     case bb::claim_backend::collapsed: return "collapsed";
   }
@@ -769,17 +737,9 @@ core::propagation_mode propagation_from_string(std::string_view s) {
   return parse_enum(s, all, "propagation mode");
 }
 
-bb::bb_protocol flag_protocol_from_string(std::string_view s) {
-  static const std::vector<bb::bb_protocol> all = {bb::bb_protocol::auto_select,
-                                                   bb::bb_protocol::eig,
-                                                   bb::bb_protocol::phase_king};
-  return parse_enum(s, all, "flag protocol");
-}
-
 bb::claim_backend claim_backend_from_string(std::string_view s) {
-  static const std::vector<bb::claim_backend> all = {
-      bb::claim_backend::auto_select, bb::claim_backend::eig,
-      bb::claim_backend::phase_king, bb::claim_backend::collapsed};
+  static const std::vector<bb::claim_backend> all = {bb::claim_backend::phase_king,
+                                                     bb::claim_backend::collapsed};
   return parse_enum(s, all, "claim backend");
 }
 
@@ -802,7 +762,6 @@ std::map<std::string, std::string> scenario_to_params(const scenario& s) {
   p["source"] = std::to_string(s.source);
   p["adversary"] = to_string(s.adversary);
   p["propagation"] = to_string(s.propagation);
-  p["flag_protocol"] = to_string(s.flag_protocol);
   p["claim_backend"] = to_string(s.claim_backend);
   p["instances"] = std::to_string(s.instances);
   p["words"] = std::to_string(s.words);
@@ -859,7 +818,6 @@ scenario scenario_from_params(const std::map<std::string, std::string>& params) 
   s.source = numeric(params, "source", to_int);
   s.adversary = adversary_kind_from_string(param(params, "adversary"));
   s.propagation = propagation_from_string(param(params, "propagation"));
-  s.flag_protocol = flag_protocol_from_string(param(params, "flag_protocol"));
   s.claim_backend = claim_backend_from_string(param(params, "claim_backend"));
   s.instances = numeric(params, "instances", to_int);
   const auto to_u64 = [](const std::string& v) { return std::stoull(v); };

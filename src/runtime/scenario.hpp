@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bb/broadcast.hpp"
 #include "bb/claim_bcast.hpp"
 #include "core/adversary.hpp"
 #include "core/phase1.hpp"
@@ -88,9 +87,8 @@ struct scenario {
   graph::node_id source = 0;
   adversary_kind adversary = adversary_kind::honest;
   core::propagation_mode propagation = core::propagation_mode::cut_through;
-  bb::bb_protocol flag_protocol = bb::bb_protocol::eig;
   /// Phase-3 DC1 claim-dissemination backend (bb/claim_bcast.hpp).
-  bb::claim_backend claim_backend = bb::claim_backend::eig;
+  bb::claim_backend claim_backend = bb::claim_backend::collapsed;
   int instances = 4;              ///< NAB instances per run (amortization)
   std::uint64_t words = 64;       ///< 16-bit words per input (L = 16*words)
   bool rotate_sources = false;
@@ -130,9 +128,8 @@ struct scenario_family {
   std::vector<std::uint64_t> word_counts = {64};
   std::vector<core::propagation_mode> propagations = {
       core::propagation_mode::cut_through};
-  std::vector<bb::bb_protocol> flag_protocols = {bb::bb_protocol::eig};
   /// The claim-backends axis: which DC1 engines the family sweeps.
-  std::vector<bb::claim_backend> claim_backends = {bb::claim_backend::eig};
+  std::vector<bb::claim_backend> claim_backends = {bb::claim_backend::collapsed};
   /// The loss axis: link-fault specs the family sweeps ("none" = clean).
   std::vector<std::string> losses = {"none"};
   int instances = 4;
@@ -164,12 +161,10 @@ std::vector<scenario> select_scenarios(std::string_view names);
 std::string to_string(topology_kind k);
 std::string to_string(adversary_kind k);
 std::string to_string(core::propagation_mode m);
-std::string to_string(bb::bb_protocol p);
 std::string to_string(bb::claim_backend b);
 topology_kind topology_kind_from_string(std::string_view s);
 adversary_kind adversary_kind_from_string(std::string_view s);
 core::propagation_mode propagation_from_string(std::string_view s);
-bb::bb_protocol flag_protocol_from_string(std::string_view s);
 bb::claim_backend claim_backend_from_string(std::string_view s);
 
 /// Flat key->value encoding of every scenario field, suitable for logs and

@@ -68,22 +68,25 @@ void network::charge(graph::node_id u, graph::node_id v, std::uint64_t bits,
 
 double network::end_step() {
   double duration = 0.0;
-  for (const graph::edge& e : topo_.edges()) {
-    const std::uint64_t bits = step_bits_[link_index(e.from, e.to)];
-    if (bits == 0) continue;
-    // digraph::add_edge rejects cap <= 0, so every active link divides
-    // cleanly; the assert guards against a future zero-capacity edge
-    // representation silently producing an infinite tau.
-    NAB_ASSERT(e.cap > 0, "link with zero capacity carried traffic");
-    double link_time = static_cast<double>(bits) / static_cast<double>(e.cap);
-    // Per-link latency/capacity jitter: a fixed dilation factor per link
-    // (exactly 1.0 with no fault model or at jitter amplitude 0).
-    if (faults_ != nullptr)
-      link_time *= faults_->time_dilation(e.from, e.to, universe());
-    duration = std::max(duration, link_time);
-    lifetime_bits_[link_index(e.from, e.to)] += bits;
-    total_bits_ += bits;
-  }
+  // Only existing links are ever charged (charge() and send() reject the
+  // rest), so the loaded links are the nonzero slots.
+  for (graph::node_id u = 0; u < universe(); ++u)
+    for (graph::node_id v = 0; v < universe(); ++v) {
+      const std::uint64_t bits = step_bits_[link_index(u, v)];
+      if (bits == 0) continue;
+      // digraph::add_edge rejects cap <= 0, so every active link divides
+      // cleanly; the assert guards against a future zero-capacity edge
+      // representation silently producing an infinite tau.
+      const graph::capacity_t cap = topo_.cap(u, v);
+      NAB_ASSERT(cap > 0, "link with zero capacity carried traffic");
+      double link_time = static_cast<double>(bits) / static_cast<double>(cap);
+      // Per-link latency/capacity jitter: a fixed dilation factor per link
+      // (exactly 1.0 with no fault model or at jitter amplitude 0).
+      if (faults_ != nullptr) link_time *= faults_->time_dilation(u, v, universe());
+      duration = std::max(duration, link_time);
+      lifetime_bits_[link_index(u, v)] += bits;
+      total_bits_ += bits;
+    }
   NAB_ASSERT(std::isfinite(duration), "step duration tau must be finite");
   std::fill(step_bits_.begin(), step_bits_.end(), 0);
   for (std::size_t v = 0; v < pending_.size(); ++v) {

@@ -1,5 +1,7 @@
 #include "sim/run_arena.hpp"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <cstring>
 
@@ -13,6 +15,13 @@ namespace {
 std::size_t round_up(std::size_t bytes, std::size_t align) {
   return (bytes + align - 1) & ~(align - 1);
 }
+
+// Under AddressSanitizer, arena space that is not handed out (fresh block
+// tails, free-listed blocks, everything after a reset) is poisoned, so a
+// use-after-free or use-after-reset inside the arena is reported like one on
+// the heap. Both are no-ops in other builds.
+void poison(const void* p, std::size_t bytes) { ASAN_POISON_MEMORY_REGION(p, bytes); }
+void unpoison(const void* p, std::size_t bytes) { ASAN_UNPOISON_MEMORY_REGION(p, bytes); }
 
 thread_local run_arena* ambient = nullptr;
 
@@ -43,6 +52,7 @@ void* run_arena::bump(std::size_t bytes) {
     if (b.size - b.used >= bytes) {
       void* p = b.data.get() + b.used;
       b.used += bytes;
+      unpoison(p, bytes);
       return p;
     }
     ++cursor_;
@@ -61,6 +71,7 @@ void* run_arena::bump(std::size_t bytes) {
              "arena block storage must be 16-aligned");
   b.size = size;
   b.used = bytes;
+  poison(b.data.get() + bytes, size - bytes);
   blocks_.push_back(std::move(b));
   cursor_ = blocks_.size() - 1;
   return blocks_.back().data.get();
@@ -75,6 +86,7 @@ void* run_arena::allocate(std::size_t bytes, std::size_t align) {
   const int cls = class_of(bytes);
   if (cls >= 0) {
     if (void* head = free_lists_[cls]) {
+      unpoison(head, class_bytes(cls));
       std::memcpy(&free_lists_[cls], head, sizeof(void*));
       ++pool_hits_;
       obs::count(obs::counter::arena_pool_hits);
@@ -88,9 +100,13 @@ void* run_arena::allocate(std::size_t bytes, std::size_t align) {
 void run_arena::deallocate(void* p, std::size_t bytes) noexcept {
   --live_;
   const int cls = class_of(bytes);
-  if (cls < 0) return;  // bump-only: reclaimed by the next reset
+  if (cls < 0) {  // bump-only: reclaimed by the next reset
+    poison(p, round_up(bytes, kAlign));
+    return;
+  }
   std::memcpy(p, &free_lists_[cls], sizeof(void*));
   free_lists_[cls] = p;
+  poison(p, class_bytes(cls));
 }
 
 void run_arena::reset() {
@@ -98,7 +114,10 @@ void run_arena::reset() {
              "run_arena::reset with live allocations — a container outlived "
              "the run (use-after-reset)");
   for (void*& head : free_lists_) head = nullptr;
-  for (block& b : blocks_) b.used = 0;
+  for (block& b : blocks_) {
+    b.used = 0;
+    poison(b.data.get(), b.size);
+  }
   cursor_ = 0;
   ++resets_;
 }

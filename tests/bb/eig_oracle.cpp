@@ -1,4 +1,4 @@
-#include "bb/eig.hpp"
+#include "eig_oracle.hpp"
 
 #include <algorithm>
 #include <deque>
@@ -348,6 +348,45 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
 
   result.time = net.elapsed() - t0;
   return result;
+}
+
+flags_outcome eig_flags(channel_plan& channels, sim::network& net,
+                        const sim::fault_set& faults, const std::vector<bool>& flags,
+                        int f, const std::vector<graph::node_id>& sources,
+                        eig_adversary* adv, relay_adversary* relay_adv) {
+  const auto universe = static_cast<std::size_t>(channels.topology().universe());
+  NAB_ASSERT(flags.size() >= universe, "flags must cover the node universe");
+  std::vector<eig_instance> instances;
+  for (graph::node_id v : sources)
+    instances.push_back({v, {flags[static_cast<std::size_t>(v)] ? 1u : 0u}});
+  const eig_result eig = eig_broadcast_all(channels, net, faults, instances, f,
+                                           /*value_bits=*/1, adv, relay_adv);
+  flags_outcome out;
+  out.agreed.assign(universe, std::vector<bool>(universe, false));
+  for (std::size_t q = 0; q < instances.size(); ++q)
+    for (graph::node_id v : channels.topology().active_nodes()) {
+      const value& got = eig.decisions[q][static_cast<std::size_t>(v)];
+      out.agreed[static_cast<std::size_t>(instances[q].source)]
+                [static_cast<std::size_t>(v)] = !got.empty() && got[0] != 0;
+    }
+  out.time = eig.time;
+  return out;
+}
+
+claim_outcome eig_claims(channel_plan& channels, sim::network& net,
+                         const sim::fault_set& faults,
+                         const std::vector<claim_instance>& instances, int f,
+                         eig_adversary* adv, relay_adversary* relay_adv) {
+  std::vector<eig_instance> eigs;
+  for (const claim_instance& inst : instances)
+    eigs.push_back({inst.source, inst.input, inst.value_bits});
+  eig_result eig = eig_broadcast_all(channels, net, faults, eigs, f,
+                                     /*value_bits=*/64, adv, relay_adv,
+                                     claim_traffic_tag);
+  claim_outcome out;
+  out.agreed = std::move(eig.decisions);
+  out.time = eig.time;
+  return out;
 }
 
 }  // namespace nab::bb

@@ -1,20 +1,24 @@
 #pragma once
 
+// The Pease-Shostak-Lamport exponential information gathering broadcast
+// [19], the paper's literal "Broadcast Default": f+1 rounds, correct for any
+// n > 3f, Theta(n^f) messages. libnab runs the batched phase king instead;
+// EIG stays here as the oracle the phase king and the collapsed claim
+// backend are pinned against, the way reference_channel.hpp pins the merged
+// channel.
+
 #include <cstdint>
 #include <vector>
 
+#include "bb/broadcast.hpp"
 #include "bb/channels.hpp"
+#include "bb/claim_bcast.hpp"
+#include "bb/phase_king.hpp"
 #include "graph/digraph.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
 
 namespace nab::bb {
-
-/// Logical value carried by classical BB: opaque words. The empty vector is
-/// the *default value* that the model substitutes for missing messages.
-/// Arena-backed (sim/run_arena.hpp): every relayed copy of a value inside a
-/// run draws from the per-run arena when one is ambient.
-using value = sim::payload;
 
 /// Adversary hooks for corrupt participants of EIG broadcast. Every method
 /// receives the value an honest node would have sent and may return anything
@@ -63,10 +67,9 @@ struct eig_result {
   double time = 0.0;
 };
 
-/// Exponential Information Gathering Byzantine broadcast — the classical
-/// Pease–Shostak–Lamport algorithm [19] the paper invokes for step 2.2 and
-/// Phase 3. Runs f+1 rounds; correct whenever the number of participants
-/// (active nodes of the channel plan's topology) exceeds 3f.
+/// Exponential Information Gathering Byzantine broadcast. Runs f+1 rounds;
+/// correct whenever the number of participants (active nodes of the channel
+/// plan's topology) exceeds 3f.
 ///
 /// All instances run simultaneously, sharing the f+1 communication rounds —
 /// this is how NAB broadcasts n 1-bit flags "in parallel" without paying n
@@ -82,5 +85,21 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
                              std::uint64_t value_bits, eig_adversary* adv = nullptr,
                              relay_adversary* relay_adv = nullptr,
                              std::uint64_t tag = 0);
+
+/// The step-2.2 flag broadcast on EIG: one 1-bit instance per source, all
+/// sharing the f+1 rounds (the shape of broadcast_flags_phase_king).
+flags_outcome eig_flags(channel_plan& channels, sim::network& net,
+                        const sim::fault_set& faults, const std::vector<bool>& flags,
+                        int f, const std::vector<graph::node_id>& sources,
+                        eig_adversary* adv = nullptr,
+                        relay_adversary* relay_adv = nullptr);
+
+/// DC1 claim dissemination on EIG over the full transcripts, every unicast
+/// tagged claim_traffic_tag (the shape of broadcast_claims).
+claim_outcome eig_claims(channel_plan& channels, sim::network& net,
+                         const sim::fault_set& faults,
+                         const std::vector<claim_instance>& instances, int f,
+                         eig_adversary* adv = nullptr,
+                         relay_adversary* relay_adv = nullptr);
 
 }  // namespace nab::bb

@@ -1,14 +1,16 @@
-// Property test for the arena-backed simulation memory: running the
-// classical-BB engines (EIG, phase-king) and whole NAB sessions with the
-// per-run arena must be byte-identical to the seed heap path — same
-// decisions, same transcripts, same dispute evidence, same simulated time
-// and wire bits — across every registry preset topology and across honest,
-// equivocating, and dropping adversaries. The arena may only change where
-// bytes live, never what they are.
+// Property test for the arena-backed simulation memory: running the batched
+// phase-king engine (flags and payload-valued broadcasts, two- and
+// three-round phases) and whole NAB sessions with the per-run arena must be
+// byte-identical to the heap path — same decisions, same transcripts, same
+// dispute evidence, same simulated time and wire bits — across every
+// registry preset topology and across honest, equivocating, and dropping
+// adversaries. The arena may only change where bytes live, never what they
+// are.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -24,39 +26,57 @@
 namespace nab {
 namespace {
 
-// --- EIG-level adversaries: the three behaviors the satellite names. ---
+// --- Engine-level adversaries: equivocation and dropping. ---
 
-/// Equivocates in round 1: even receivers see 1, odd receivers see 0.
-class equivocating_eig : public bb::eig_adversary {
+/// Equivocates in every round: even receivers see 1 (or {1}), odd ones 0.
+class equivocating_pk : public bb::pk_adversary {
  public:
-  bb::value source_value(graph::node_id, graph::node_id receiver,
-                         const bb::value&) override {
+  std::uint64_t exchange_value(graph::node_id, graph::node_id receiver, int, bool,
+                               std::uint64_t) override {
+    return receiver % 2 == 0 ? 1u : 0u;
+  }
+  bb::value exchange_payload(graph::node_id, graph::node_id receiver, int, bool,
+                             const bb::value&) override {
     return {receiver % 2 == 0 ? 1u : 0u};
   }
 };
 
-/// Drops every relay (empty value = "not sending", the model's default).
-class dropping_eig : public bb::eig_adversary {
+/// Sends the default (0 / the empty payload) and ⊥ proposals: the model's
+/// "not sending".
+class dropping_pk : public bb::pk_adversary {
  public:
-  bb::value relay_value(graph::node_id, graph::node_id,
-                        const std::vector<graph::node_id>&,
-                        const bb::value&) override {
+  std::uint64_t exchange_value(graph::node_id, graph::node_id, int, bool,
+                               std::uint64_t) override {
+    return 0;
+  }
+  bb::value exchange_payload(graph::node_id, graph::node_id, int, bool,
+                             const bb::value&) override {
     return {};
+  }
+  std::optional<std::uint64_t> propose_value(graph::node_id, graph::node_id, int,
+                                             const std::optional<std::uint64_t>&) override {
+    return std::nullopt;
+  }
+  std::optional<bb::value> propose_payload(graph::node_id, graph::node_id, int,
+                                           const std::optional<bb::value>&) override {
+    return std::nullopt;
   }
 };
 
-enum class eig_behavior { honest, equivocating, dropping };
+enum class pk_behavior { honest, equivocating, dropping };
 
 struct flags_run {
   std::vector<std::vector<bool>> agreed;
+  std::vector<bb::value> decisions;  ///< the payload-valued broadcast's
   double elapsed = 0.0;
   std::uint64_t bits = 0;
   int steps = 0;
 };
 
-/// One batched flag broadcast (NAB step 2.2 shape) over `g` with the first
-/// non-source active node corrupt (when f > 0), with or without pooling.
-flags_run run_flag_broadcast(const graph::digraph& g, int f, eig_behavior behavior,
+/// One batched flag broadcast (NAB step 2.2 shape) and one payload-valued
+/// broadcast_default over `g` with the first non-source active node corrupt
+/// (when f > 0), with or without pooling.
+flags_run run_flag_broadcast(const graph::digraph& g, int f, pk_behavior behavior,
                              bool pooled) {
   sim::run_arena arena;
   sim::scoped_run_arena scope(pooled ? &arena : nullptr);
@@ -72,22 +92,29 @@ flags_run run_flag_broadcast(const graph::digraph& g, int f, eig_behavior behavi
     for (std::size_t i = 0; i < active.size(); ++i)
       flags[static_cast<std::size_t>(active[i])] = i % 2 == 1;
 
-    equivocating_eig equivocator;
-    dropping_eig dropper;
-    bb::eig_adversary* adv = nullptr;
-    if (behavior == eig_behavior::equivocating) adv = &equivocator;
-    if (behavior == eig_behavior::dropping) adv = &dropper;
+    equivocating_pk equivocator;
+    dropping_pk dropper;
+    bb::pk_adversary* adv = nullptr;
+    if (behavior == pk_behavior::equivocating) adv = &equivocator;
+    if (behavior == pk_behavior::dropping) adv = &dropper;
 
     const bb::flags_outcome out =
-        bb::broadcast_flags(plan, net, faults, flags, f, active, adv);
-    return {out.agreed, net.elapsed(), net.total_bits(), net.steps()};
+        bb::broadcast_flags_phase_king(plan, net, faults, flags, f, active, adv);
+    const bb::broadcast_outcome payload = bb::broadcast_default(
+        plan, net, faults, active[0], {0x5eed, 0xf00d, 7}, f, 3 * 64, adv);
+    std::vector<bb::value> decisions;
+    {
+      sim::scoped_run_arena heap(nullptr);  // the copies outlive the arena
+      for (const bb::value& v : payload.decisions) decisions.emplace_back(v.begin(), v.end());
+    }
+    return {out.agreed, std::move(decisions), net.elapsed(), net.total_bits(), net.steps()};
   }
   // arena (and every pooled container, destroyed above) dies here.
 }
 
 /// Registry presets as unique (topology, f) pairs, mirroring the runner's
-/// feasibility rules (32 reseed attempts for random generators; EIG cost is
-/// capped by limiting f to 1 beyond 16 nodes). Frontier-scale presets
+/// feasibility rules (32 reseed attempts for random generators; f capped to
+/// 1 beyond 16 nodes to keep the sweep short). Frontier-scale presets
 /// (n > 64) are excluded: they exercise no arena code path the n <= 64
 /// presets don't, and a 128-node flag broadcast alone would multiply the
 /// sweep's wall time — the frontier presets are covered by the perf smoke.
@@ -121,18 +148,19 @@ std::vector<std::pair<graph::digraph, int>> registry_topologies() {
   return out;
 }
 
-TEST(EigArenaEquivalence, FlagBroadcastsMatchAcrossRegistryPresets) {
+TEST(ArenaEquivalence, FlagBroadcastsMatchAcrossRegistryPresets) {
   const auto presets = registry_topologies();
   ASSERT_GT(presets.size(), 10u);  // the registry really was swept
   for (const auto& [g, f] : presets) {
-    for (eig_behavior behavior :
-         {eig_behavior::honest, eig_behavior::equivocating, eig_behavior::dropping}) {
+    for (pk_behavior behavior :
+         {pk_behavior::honest, pk_behavior::equivocating, pk_behavior::dropping}) {
       const flags_run pooled = run_flag_broadcast(g, f, behavior, true);
       const flags_run heap = run_flag_broadcast(g, f, behavior, false);
       const std::string ctx = "n=" + std::to_string(g.universe()) +
                               " f=" + std::to_string(f) + " behavior=" +
                               std::to_string(static_cast<int>(behavior));
       EXPECT_EQ(pooled.agreed, heap.agreed) << ctx;
+      EXPECT_EQ(pooled.decisions, heap.decisions) << ctx;
       EXPECT_EQ(pooled.elapsed, heap.elapsed) << ctx;
       EXPECT_EQ(pooled.bits, heap.bits) << ctx;
       EXPECT_EQ(pooled.steps, heap.steps) << ctx;
@@ -185,24 +213,24 @@ class dropping_relay : public core::nab_adversary {
 
 core::session_run run_one(const graph::digraph& g, int f,
                           const std::vector<graph::node_id>& corrupt,
-                          core::nab_adversary* adv, bb::bb_protocol flag_protocol,
+                          core::nab_adversary* adv, bb::claim_backend claims,
                           bool pooled) {
   core::session_config cfg;
   cfg.g = g;
   cfg.f = f;
-  cfg.flag_protocol = flag_protocol;
+  cfg.claim_backend = claims;
   cfg.pool_memory = pooled;
   sim::fault_set faults(g.universe(), corrupt);
   return core::run_session(std::move(cfg), faults, adv, /*q=*/5,
                            /*words_per_input=*/16, /*seed=*/0xfeed);
 }
 
-TEST(EigArenaEquivalence, SessionsMatchAcrossAdversaryStrategies) {
+TEST(ArenaEquivalence, SessionsMatchAcrossAdversaryStrategies) {
   const graph::digraph k7 = graph::complete(7);
 
   // Honest (corrupt set present, passive).
-  expect_same_session_run(run_one(k7, 2, {2, 5}, nullptr, bb::bb_protocol::eig, true),
-                          run_one(k7, 2, {2, 5}, nullptr, bb::bb_protocol::eig, false),
+  expect_same_session_run(run_one(k7, 2, {2, 5}, nullptr, bb::claim_backend::phase_king, true),
+                          run_one(k7, 2, {2, 5}, nullptr, bb::claim_backend::phase_king, false),
                           "honest");
 
   // Equivocating source (minority victims) — disputes via DC2.
@@ -210,8 +238,8 @@ TEST(EigArenaEquivalence, SessionsMatchAcrossAdversaryStrategies) {
     core::equivocating_source adv_a({1, 3});
     core::equivocating_source adv_b({1, 3});
     expect_same_session_run(
-        run_one(k7, 2, {0, 4}, &adv_a, bb::bb_protocol::eig, true),
-        run_one(k7, 2, {0, 4}, &adv_b, bb::bb_protocol::eig, false), "equivocate");
+        run_one(k7, 2, {0, 4}, &adv_a, bb::claim_backend::phase_king, true),
+        run_one(k7, 2, {0, 4}, &adv_b, bb::claim_backend::phase_king, false), "equivocate");
   }
 
   // Dropping relay — default-value handling through every phase.
@@ -219,8 +247,8 @@ TEST(EigArenaEquivalence, SessionsMatchAcrossAdversaryStrategies) {
     dropping_relay adv_a;
     dropping_relay adv_b;
     expect_same_session_run(
-        run_one(k7, 2, {3, 6}, &adv_a, bb::bb_protocol::eig, true),
-        run_one(k7, 2, {3, 6}, &adv_b, bb::bb_protocol::eig, false), "drop");
+        run_one(k7, 2, {3, 6}, &adv_a, bb::claim_backend::phase_king, true),
+        run_one(k7, 2, {3, 6}, &adv_b, bb::claim_backend::phase_king, false), "drop");
   }
 
   // Chaos (seeded fuzzing through all hooks) — the widest transcript churn.
@@ -228,31 +256,31 @@ TEST(EigArenaEquivalence, SessionsMatchAcrossAdversaryStrategies) {
     core::chaos_adversary adv_a(0xc4a05, 0.7);
     core::chaos_adversary adv_b(0xc4a05, 0.7);
     expect_same_session_run(
-        run_one(k7, 2, {1, 4}, &adv_a, bb::bb_protocol::eig, true),
-        run_one(k7, 2, {1, 4}, &adv_b, bb::bb_protocol::eig, false), "chaos");
+        run_one(k7, 2, {1, 4}, &adv_a, bb::claim_backend::phase_king, true),
+        run_one(k7, 2, {1, 4}, &adv_b, bb::claim_backend::phase_king, false), "chaos");
   }
 
-  // Phase-king flag engine (n > 4f) with a false flag forcing Phase 3.
+  // Two-round flag phases (n > 4f) with a false flag forcing Phase 3.
   {
     core::false_flagger adv_a;
     core::false_flagger adv_b;
     const graph::digraph k9 = graph::complete(9);
     expect_same_session_run(
-        run_one(k9, 2, {2, 7}, &adv_a, bb::bb_protocol::phase_king, true),
-        run_one(k9, 2, {2, 7}, &adv_b, bb::bb_protocol::phase_king, false),
-        "phase-king");
+        run_one(k9, 2, {2, 7}, &adv_a, bb::claim_backend::collapsed, true),
+        run_one(k9, 2, {2, 7}, &adv_b, bb::claim_backend::collapsed, false),
+        "two-round flags, collapsed claims");
   }
 }
 
-TEST(EigArenaEquivalence, SessionsMatchOnSparseEmulatedChannels) {
+TEST(ArenaEquivalence, SessionsMatchOnSparseEmulatedChannels) {
   // Remove a link so flag/claim broadcasts emulate channels over 2f+1
   // disjoint paths (the majority-vote code path), with a stealthy disputer.
   graph::digraph g = graph::complete(6, 2);
   g.remove_edge_pair(0, 3);
   core::stealth_disputer adv_a;
   core::stealth_disputer adv_b;
-  expect_same_session_run(run_one(g, 1, {4}, &adv_a, bb::bb_protocol::eig, true),
-                          run_one(g, 1, {4}, &adv_b, bb::bb_protocol::eig, false),
+  expect_same_session_run(run_one(g, 1, {4}, &adv_a, bb::claim_backend::phase_king, true),
+                          run_one(g, 1, {4}, &adv_b, bb::claim_backend::phase_king, false),
                           "stealth/emulated");
 }
 

@@ -1,13 +1,14 @@
-// Parameterized sweeps over the classical-BB substrate: EIG and phase-king
-// must deliver agreement + validity for every (n, f, corrupt-set, behavior)
-// combination within their resilience bounds, on complete and emulated
-// incomplete topologies alike.
+// Parameterized sweeps over the classical-BB substrate: the phase king (word
+// and payload rows) and the EIG oracle must deliver agreement + validity for
+// every (n, f, corrupt-set, behavior) combination with n > 3f, on complete
+// and emulated incomplete topologies alike.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "bb/broadcast.hpp"
+#include "eig_oracle.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -59,6 +60,10 @@ class misbehaver : public eig_adversary, public pk_adversary {
     const value v = twist({honest}, receiver);
     return v.empty() ? 0 : v[0];
   }
+  value exchange_payload(graph::node_id, graph::node_id receiver, int, bool,
+                         const value& honest) override {
+    return twist(honest, receiver);
+  }
 
  private:
   value twist(const value& honest, graph::node_id receiver) {
@@ -76,6 +81,25 @@ class misbehaver : public eig_adversary, public pk_adversary {
 
 class BbProperty : public ::testing::TestWithParam<bb_param> {};
 
+void expect_agreement_and_validity(const std::vector<value>& decisions,
+                                   const graph::digraph& g, const sim::fault_set& faults,
+                                   const bb_param& p, const value& input) {
+  const value* agreed = nullptr;
+  for (graph::node_id v : g.active_nodes()) {
+    if (faults.is_corrupt(v)) continue;
+    if (agreed == nullptr) {
+      agreed = &decisions[static_cast<std::size_t>(v)];
+    } else {
+      EXPECT_EQ(decisions[static_cast<std::size_t>(v)], *agreed)
+          << p.label() << " node " << v;
+    }
+  }
+  if (faults.is_honest(p.source)) {
+    ASSERT_NE(agreed, nullptr);
+    EXPECT_EQ(*agreed, input) << p.label();
+  }
+}
+
 TEST_P(BbProperty, EigAgreementAndValidity) {
   const bb_param& p = GetParam();
   graph::digraph g = graph::complete(p.n);
@@ -89,27 +113,31 @@ TEST_P(BbProperty, EigAgreementAndValidity) {
   misbehaver adv(p.how, 77);
   const value input{0xABCDu};
 
-  const auto r = broadcast_default(plan, net, faults, p.source, input, p.f, 64,
-                                   bb_protocol::eig, &adv, nullptr);
-  const value* agreed = nullptr;
-  for (graph::node_id v : g.active_nodes()) {
-    if (faults.is_corrupt(v)) continue;
-    if (agreed == nullptr) {
-      agreed = &r.decisions[static_cast<std::size_t>(v)];
-    } else {
-      EXPECT_EQ(r.decisions[static_cast<std::size_t>(v)], *agreed)
-          << p.label() << " node " << v;
-    }
+  const auto r = eig_broadcast_all(plan, net, faults, {{p.source, input}}, p.f, 64, &adv);
+  expect_agreement_and_validity(r.decisions[0], g, faults, p, input);
+}
+
+TEST_P(BbProperty, PhaseKingPayloadAgreementAndValidity) {
+  // broadcast_default: the engine on payload rows, three-round phases
+  // whenever n <= 4f.
+  const bb_param& p = GetParam();
+  graph::digraph g = graph::complete(p.n);
+  if (p.punch_holes) {
+    g.remove_edge_pair(0, p.n - 1);
+    if (p.n >= 6) g.remove_edge_pair(1, p.n - 2);
   }
-  if (faults.is_honest(p.source)) {
-    ASSERT_NE(agreed, nullptr);
-    EXPECT_EQ(*agreed, input) << p.label();
-  }
+  sim::network net(g);
+  sim::fault_set faults(p.n, p.corrupt);
+  channel_plan plan(g, p.f);
+  misbehaver adv(p.how, 79);
+  const value input{0xABCDu, 7};
+
+  const auto r = broadcast_default(plan, net, faults, p.source, input, p.f, 128, &adv);
+  expect_agreement_and_validity(r.decisions, g, faults, p, input);
 }
 
 TEST_P(BbProperty, PhaseKingAgreementAndValidity) {
   const bb_param& p = GetParam();
-  if (p.n <= 4 * p.f) GTEST_SKIP() << "below phase-king resilience";
   graph::digraph g = graph::complete(p.n);
   if (p.punch_holes) g.remove_edge_pair(0, p.n - 1);
   sim::network net(g);

@@ -3,9 +3,11 @@
 // reference_channel.hpp. Running the same protocol over both, every round
 // must deliver byte-identical inboxes in identical order, and no link may
 // carry more bits in any round than the reference charges it. Covered:
-// complete, hypercube and random-regular topologies; honest runs, tampering
-// relays, equivocating phase-king senders and both at once; no fault model
-// and the inert zero-loss model.
+// complete, hypercube and random-regular topologies, and a holed K_7 at f = 2
+// where the phase king runs three-round phases over emulated channels;
+// honest runs, tampering relays, equivocating phase-king senders and both at
+// once; no fault model and the inert zero-loss model. The EIG oracle's
+// larger item batches run over both channels too.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 
 #include "bb/broadcast.hpp"
 #include "bb/phase_king.hpp"
+#include "eig_oracle.hpp"
 #include "graph/generators.hpp"
 #include "reference_channel.hpp"
 #include "sim/link_faults.hpp"
@@ -108,7 +111,10 @@ struct topo_case {
 
 std::vector<topo_case> cases() {
   rng rand(77);
+  graph::digraph holed = graph::complete(7);
+  holed.remove_edge_pair(0, 3);
   return {{"K7", graph::complete(7), 1},
+          {"K7holes-f2", holed, 2},
           {"Q4", graph::hypercube(4), 1},
           {"Q6f2", graph::hypercube(6), 2},
           {"RR20d5", graph::random_regular(20, 5, 1, 3, rand), 1}};
@@ -145,7 +151,7 @@ std::pair<recorder<Channel>, flags_outcome> run(const topo_case& c, bool phase_k
   const auto sources = c.g.active_nodes();
   flags_outcome out =
       phase_king ? broadcast_flags_phase_king(plan, net, faults, flags, c.f, sources, pk, ra)
-                 : broadcast_flags(plan, net, faults, flags, c.f, sources, nullptr, ra);
+                 : eig_flags(plan, net, faults, flags, c.f, sources, nullptr, ra);
   return {std::move(plan), std::move(out)};
 }
 

@@ -1,21 +1,25 @@
-// Property test for the pluggable claim-broadcast backends: whole NAB
-// sessions run with the EIG oracle, the batched phase-king path, and the
-// collapsed Bracha-style backend must produce byte-identical dispute sets,
-// convictions, and agreed values — across every registry preset topology and
-// across dispute-forcing adversaries. Only the DC1 wire cost may differ,
-// and at n = 32, f = 2 (the documented hypercube_d5 bottleneck) the
-// collapsed backend must cut traced claim bytes by at least 10x.
+// Property test for the claim-broadcast backends. At the claim layer, the
+// batched phase king and the collapsed Bracha-style backend must decide
+// exactly what the EIG oracle (eig_oracle.hpp) decides, on both sides of the
+// phase king's two/three-round boundary. Whole NAB sessions run on either
+// backend must produce byte-identical dispute sets, convictions, and agreed
+// values — across every registry preset topology and across dispute-forcing
+// adversaries. Only the DC1 wire cost may differ, and at n = 32, f = 2 (the
+// documented hypercube_d5 bottleneck) the collapsed backend must cut traced
+// claim bytes by at least 10x below the oracle's.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "bb/claim_bcast.hpp"
 #include "core/omega_cache.hpp"
 #include "core/session.hpp"
 #include "core/strategies.hpp"
+#include "eig_oracle.hpp"
 #include "graph/generators.hpp"
 #include "runtime/scenario.hpp"
 #include "sim/trace.hpp"
@@ -59,11 +63,10 @@ void expect_same_verdicts(const core::session_run& a, const core::session_run& b
 }
 
 /// Registry presets as unique (topology, f) pairs, mirroring
-/// test_eig_arena_equivalence: f capped to 1 beyond 16 nodes (the oracle's
-/// n^f label tree) and the n >= 64 presets skipped outright — at that size
-/// the EIG oracle cannot run a dispute phase at all, which is precisely the
-/// bottleneck the collapsed backend removes (its own coverage lives in the
-/// claim_bcast unit tests and the k64/hypercube_d6 fleet presets).
+/// test_arena_equivalence: f capped to 1 beyond 16 nodes and the n >= 64
+/// presets skipped, which keeps the phase-king backend's full-transcript
+/// exchange rounds cheap (the collapsed backend's own coverage at n = 64
+/// lives in the claim_bcast unit tests and the k64/hypercube_d6 presets).
 std::vector<std::pair<graph::digraph, int>> oracle_sized_topologies() {
   std::vector<std::pair<graph::digraph, int>> out;
   std::map<std::string, bool> seen;
@@ -106,20 +109,64 @@ TEST(ClaimBackendEquivalence, VerdictsMatchAcrossRegistryPresets) {
                             " f=" + std::to_string(f);
 
     core::false_flagger adv_a, adv_b;
-    const core::session_run eig = run_one(
+    const core::session_run pk = run_one(
         g, f, corrupt, corrupt.empty() ? nullptr : &adv_a,
-        bb::claim_backend::eig, /*q=*/2, /*words=*/8);
+        bb::claim_backend::phase_king, /*q=*/2, /*words=*/8);
     const core::session_run collapsed = run_one(
         g, f, corrupt, corrupt.empty() ? nullptr : &adv_b,
         bb::claim_backend::collapsed, /*q=*/2, /*words=*/8);
-    expect_same_verdicts(eig, collapsed, ctx + " eig-vs-collapsed");
+    expect_same_verdicts(pk, collapsed, ctx + " phase_king-vs-collapsed");
+  }
+}
 
-    if (bb::phase_king_admissible(active.size(), f)) {
-      core::false_flagger adv_c;
-      const core::session_run pk = run_one(
-          g, f, corrupt, corrupt.empty() ? nullptr : &adv_c,
-          bb::claim_backend::phase_king, /*q=*/2, /*words=*/8);
-      expect_same_verdicts(eig, pk, ctx + " eig-vs-phase_king");
+/// Distinct multi-word claims, one per active node; corrupt claimants'
+/// inputs are their lies, so the oracle and both backends must agree on
+/// them exactly while corrupt nodes behave honestly inside BB.
+std::vector<bb::claim_instance> distinct_claims(const graph::digraph& g) {
+  std::vector<bb::claim_instance> out;
+  for (graph::node_id v : g.active_nodes()) {
+    bb::claim_instance inst;
+    inst.source = v;
+    inst.input.assign(static_cast<std::size_t>(v % 3), static_cast<std::uint64_t>(v) * 77);
+    inst.value_bits = 64 * 3 + 8;
+    out.push_back(std::move(inst));
+  }
+  return out;
+}
+
+TEST(ClaimBackendEquivalence, BackendsDecideWhatTheEigOracleDecides) {
+  graph::digraph holed = graph::complete(7);
+  holed.remove_edge_pair(0, 3);
+  const std::vector<std::tuple<std::string, graph::digraph, int, std::vector<graph::node_id>>>
+      cases = {{"K4 f1", graph::complete(4), 1, {2}},
+               {"K5 f1", graph::complete(5), 1, {0}},
+               {"K7 f2", graph::complete(7), 2, {1, 5}},
+               {"K7holes f2", holed, 2, {0, 6}},
+               {"K9 f2", graph::complete(9), 2, {2, 7}},
+               {"K10 f3", graph::complete(10), 3, {0, 4, 9}},
+               {"Q4 f1", graph::hypercube(4), 1, {5}}};
+  for (const auto& [name, g, f, corrupt] : cases) {
+    const auto instances = distinct_claims(g);
+    const auto decide = [&](auto&& broadcast) {
+      sim::network net(g);
+      bb::channel_plan plan(g, f, core::omega_cache::instance().channel_routes_for(g, f));
+      const sim::fault_set faults(g.universe(), corrupt);
+      bb::claim_outcome out = broadcast(plan, net, faults);
+      // Corrupt nodes' own decisions carry no meaning.
+      for (auto& per_node : out.agreed)
+        for (graph::node_id v : corrupt) per_node[static_cast<std::size_t>(v)].clear();
+      return out.agreed;
+    };
+    const auto oracle = decide([&](auto& plan, auto& net, const auto& faults) {
+      return bb::eig_claims(plan, net, faults, instances, f);
+    });
+    for (bb::claim_backend backend :
+         {bb::claim_backend::phase_king, bb::claim_backend::collapsed}) {
+      EXPECT_EQ(decide([&](auto& plan, auto& net, const auto& faults) {
+                  return bb::broadcast_claims(backend, plan, net, faults, instances, f);
+                }),
+                oracle)
+          << name << " backend " << runtime::to_string(backend);
     }
   }
 }
@@ -129,21 +176,19 @@ TEST(ClaimBackendEquivalence, VerdictsMatchAcrossAdversaryStrategies) {
 
   // Stealth coalition: the slowest-progress dispute farmer (f(f+1) regime).
   {
-    core::stealth_disputer a, b, c;
-    const auto eig = run_one(k9, 2, {2, 5}, &a, bb::claim_backend::eig, 6, 16);
-    const auto col = run_one(k9, 2, {2, 5}, &b, bb::claim_backend::collapsed, 6, 16);
-    const auto pk = run_one(k9, 2, {2, 5}, &c, bb::claim_backend::phase_king, 6, 16);
-    expect_same_verdicts(eig, col, "stealth eig-vs-collapsed");
-    expect_same_verdicts(eig, pk, "stealth eig-vs-phase_king");
-    EXPECT_FALSE(eig.disputes.pairs().empty());
+    core::stealth_disputer a, b;
+    const auto col = run_one(k9, 2, {2, 5}, &a, bb::claim_backend::collapsed, 6, 16);
+    const auto pk = run_one(k9, 2, {2, 5}, &b, bb::claim_backend::phase_king, 6, 16);
+    expect_same_verdicts(pk, col, "stealth phase_king-vs-collapsed");
+    EXPECT_FALSE(pk.disputes.pairs().empty());
   }
 
   // Chaos: seeded fuzzing through every hook — the widest claim churn.
   {
     core::chaos_adversary a(0xc4a05, 0.7), b(0xc4a05, 0.7);
-    const auto eig = run_one(k9, 2, {1, 4}, &a, bb::claim_backend::eig, 5, 16);
+    const auto pk = run_one(k9, 2, {1, 4}, &a, bb::claim_backend::phase_king, 5, 16);
     const auto col = run_one(k9, 2, {1, 4}, &b, bb::claim_backend::collapsed, 5, 16);
-    expect_same_verdicts(eig, col, "chaos eig-vs-collapsed");
+    expect_same_verdicts(pk, col, "chaos phase_king-vs-collapsed");
   }
 
   // Sparse emulated channels (majority-vote route path) with claim forging.
@@ -158,22 +203,22 @@ TEST(ClaimBackendEquivalence, VerdictsMatchAcrossAdversaryStrategies) {
     graph::digraph g = graph::complete(6, 2);
     g.remove_edge_pair(0, 3);
     flagging_forger a(1), b(1);
-    const auto eig = run_one(g, 1, {4}, &a, bb::claim_backend::eig, 4, 16);
+    const auto pk = run_one(g, 1, {4}, &a, bb::claim_backend::phase_king, 4, 16);
     const auto col = run_one(g, 1, {4}, &b, bb::claim_backend::collapsed, 4, 16);
-    expect_same_verdicts(eig, col, "forger/emulated eig-vs-collapsed");
-    EXPECT_FALSE(eig.disputes.pairs().empty());
+    expect_same_verdicts(pk, col, "forger/emulated phase_king-vs-collapsed");
+    EXPECT_FALSE(pk.disputes.pairs().empty());
   }
 }
 
 TEST(ClaimBackendEquivalence, F3DisputeEvidenceMatchesAndDc4Convicts) {
-  // f = 3 (K_13): DC4's cover intersection must behave identically on the
-  // collapsed backend's dispute sets — the stealth strategy builds exactly
-  // the star patterns whose explaining-set intersection convicts.
+  // f = 3 (K_13): DC4's cover intersection must behave identically on both
+  // backends' dispute sets — the stealth strategy builds exactly the star
+  // patterns whose explaining-set intersection convicts.
   const graph::digraph k13 = graph::complete(13);
   core::stealth_disputer a, b;
-  const auto eig = run_one(k13, 3, {3, 7, 11}, &a, bb::claim_backend::eig, 8, 8);
+  const auto pk = run_one(k13, 3, {3, 7, 11}, &a, bb::claim_backend::phase_king, 8, 8);
   const auto col = run_one(k13, 3, {3, 7, 11}, &b, bb::claim_backend::collapsed, 8, 8);
-  expect_same_verdicts(eig, col, "f3 stealth");
+  expect_same_verdicts(pk, col, "f3 stealth");
   EXPECT_FALSE(col.disputes.pairs().empty());
   // Dispute soundness at f = 3: every pair touches a corrupt node, every
   // conviction is corrupt (DC4 never convicts an honest node).
@@ -188,26 +233,45 @@ TEST(ClaimBackendEquivalence, F3DisputeEvidenceMatchesAndDc4Convicts) {
 TEST(ClaimBackendEquivalence, TracedClaimBytesDropTenfoldAtN32F2) {
   // The acceptance bar: at n = 32, f = 2 (hypercube_d5's documented EIG
   // bottleneck), the collapsed backend's DC1 claim bytes must be at least
-  // 10x below the oracle's, measured from the ambient traffic trace via the
-  // claim tag — asserted, not eyeballed.
+  // 10x below the oracle's on the same claims, measured from the ambient
+  // traffic trace via the claim tag — asserted, not eyeballed.
   const graph::digraph q5 = graph::hypercube(5, 2);
-  const auto measure = [&](bb::claim_backend backend) {
+  const sim::fault_set faults(q5.universe(), {3, 17});
+  std::vector<bb::claim_instance> instances;
+  for (graph::node_id v : q5.active_nodes()) {
+    bb::claim_instance inst;
+    inst.source = v;
+    inst.input.assign(16, static_cast<std::uint64_t>(v));
+    inst.value_bits = 16 * 64;
+    instances.push_back(std::move(inst));
+  }
+  const auto measure = [&](bool oracle) {
     sim::trace t;
     sim::scoped_ambient_trace scope(&t);
-    core::phase1_corruptor adv;
-    const core::session_run run =
-        run_one(q5, 2, {3, 17}, &adv, backend, /*q=*/1, /*words=*/16);
-    EXPECT_EQ(run.stats.dispute_phases, 1);
-    // The session's per-phase accounting and the trace's tag accounting are
-    // two independent measurements of the same traffic.
-    EXPECT_EQ(t.tag_total(bb::claim_traffic_tag), run.stats.claim_bits);
-    return run.stats.claim_bits;
+    sim::network net(q5);
+    bb::channel_plan plan(q5, 2, core::omega_cache::instance().channel_routes_for(q5, 2));
+    if (oracle) {
+      bb::eig_claims(plan, net, faults, instances, 2);
+    } else {
+      bb::broadcast_claims(bb::claim_backend::collapsed, plan, net, faults, instances, 2);
+    }
+    return t.tag_total(bb::claim_traffic_tag);
   };
-  const std::uint64_t eig_bits = measure(bb::claim_backend::eig);
-  const std::uint64_t collapsed_bits = measure(bb::claim_backend::collapsed);
+  const std::uint64_t eig_bits = measure(true);
+  const std::uint64_t collapsed_bits = measure(false);
   ASSERT_GT(collapsed_bits, 0u);
   EXPECT_GE(eig_bits, 10 * collapsed_bits)
       << "eig=" << eig_bits << " collapsed=" << collapsed_bits;
+
+  // In a session, the per-phase accounting and the trace's tag accounting
+  // are two independent measurements of the same DC1 traffic.
+  sim::trace t;
+  sim::scoped_ambient_trace scope(&t);
+  core::phase1_corruptor adv;
+  const core::session_run run =
+      run_one(q5, 2, {3, 17}, &adv, bb::claim_backend::collapsed, /*q=*/1, /*words=*/16);
+  EXPECT_EQ(run.stats.dispute_phases, 1);
+  EXPECT_EQ(t.tag_total(bb::claim_traffic_tag), run.stats.claim_bits);
 }
 
 }  // namespace

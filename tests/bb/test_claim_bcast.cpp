@@ -1,13 +1,14 @@
 // Unit tests for the pluggable claim-broadcast layer (bb/claim_bcast.hpp):
 // digest algebra, the collapsed Bracha-style backend's agreement/validity
 // under digest equivocation, echo/ready suppression and forged retrievals,
-// the batched phase-king backend, and the auto_select resolution rule.
+// and the batched phase-king backend down to its n > 3f boundary.
 
 #include "bb/claim_bcast.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/omega_cache.hpp"
+#include "eig_oracle.hpp"
 #include "graph/generators.hpp"
 
 namespace nab::bb {
@@ -98,58 +99,21 @@ TEST(ClaimDigest, PackedRoundTrips) {
   EXPECT_EQ(claim_digest::from_packed(0), claim_digest{});
 }
 
-// --- auto_select boundary --------------------------------------------------
+// --- honest paths across both backends --------------------------------------
 
-TEST(ClaimBackendResolve, ExplicitChoicesPassThrough) {
-  for (claim_backend b :
-       {claim_backend::eig, claim_backend::phase_king, claim_backend::collapsed})
-    EXPECT_EQ(resolve_claim_backend(b, 64, 2), b);
-}
-
-TEST(ClaimBackendResolve, AutoKeepsSmallPresetsOnTheOracle) {
-  // K_7 f=2, K_9 f=2, K_16 f=1: the EIG label tree is still cheap.
-  EXPECT_EQ(resolve_claim_backend(claim_backend::auto_select, 7, 2),
-            claim_backend::eig);
-  EXPECT_EQ(resolve_claim_backend(claim_backend::auto_select, 9, 2),
-            claim_backend::eig);
-  EXPECT_EQ(resolve_claim_backend(claim_backend::auto_select, 16, 1),
-            claim_backend::eig);
-}
-
-TEST(ClaimBackendResolve, AutoCollapsesWhereTheLabelTreeDominates) {
-  // n=32 f=2 (the hypercube_d5 bottleneck) and any n=64 configuration.
-  EXPECT_EQ(resolve_claim_backend(claim_backend::auto_select, 32, 2),
-            claim_backend::collapsed);
-  EXPECT_EQ(resolve_claim_backend(claim_backend::auto_select, 64, 1),
-            claim_backend::collapsed);
-  EXPECT_EQ(resolve_claim_backend(claim_backend::auto_select, 16, 2),
-            claim_backend::collapsed);
-}
-
-TEST(ClaimBackendResolve, PhaseKingAdmissibilityPredicate) {
-  EXPECT_TRUE(phase_king_admissible(9, 2));
-  EXPECT_FALSE(phase_king_admissible(8, 2));
-  EXPECT_TRUE(phase_king_admissible(5, 1));
-  EXPECT_FALSE(phase_king_admissible(4, 1));
-}
-
-// --- honest paths across all three backends --------------------------------
-
-TEST(ClaimBroadcast, AllBackendsDecideSubmittedInputsOnK9F2) {
-  const auto instances_of = [](const harness& h) { return distinct_claims(h.g); };
-  for (claim_backend b :
-       {claim_backend::eig, claim_backend::phase_king, claim_backend::collapsed}) {
-    harness h(graph::complete(9), 2, {2, 5});  // corrupt but in-BB honest
-    const auto instances = instances_of(h);
-    const claim_outcome out =
-        broadcast_claims(b, h.plan, h.net, h.faults, instances, 2);
-    expect_all_decide_inputs(out, instances, h,
-                             b == claim_backend::eig         ? "eig"
-                             : b == claim_backend::phase_king ? "phase_king"
-                                                              : "collapsed");
-    EXPECT_EQ(out.fallback_retrievals, 0);
-    EXPECT_GT(h.net.total_bits(), 0u);
-  }
+TEST(ClaimBroadcast, BothBackendsDecideSubmittedInputs) {
+  // K_9 f=2 runs two-round phase-king phases, K_7 f=2 three-round ones.
+  for (int n : {9, 7})
+    for (claim_backend b : {claim_backend::phase_king, claim_backend::collapsed}) {
+      harness h(graph::complete(n), 2, {2, 5});  // corrupt but in-BB honest
+      const auto instances = distinct_claims(h.g);
+      const claim_outcome out =
+          broadcast_claims(b, h.plan, h.net, h.faults, instances, 2);
+      expect_all_decide_inputs(out, instances, h,
+                               b == claim_backend::phase_king ? "phase_king" : "collapsed");
+      EXPECT_EQ(out.fallback_retrievals, 0);
+      EXPECT_GT(h.net.total_bits(), 0u);
+    }
 }
 
 TEST(ClaimBroadcast, CollapsedAgreesUnderAnyDigestSeed) {
@@ -189,7 +153,7 @@ TEST(ClaimBroadcast, CollapsedChargesPolynomiallyFewerClaimBitsThanEig) {
   }
   harness eig_h(g, 2, {1, 2});
   const claim_outcome eig_out =
-      broadcast_claims_eig(eig_h.plan, eig_h.net, eig_h.faults, instances, 2);
+      eig_claims(eig_h.plan, eig_h.net, eig_h.faults, instances, 2);
   harness col_h(g, 2, {1, 2});
   const claim_outcome col_out = broadcast_claims_collapsed(
       col_h.plan, col_h.net, col_h.faults, instances, 2);
@@ -297,13 +261,13 @@ TEST(ClaimBroadcast, CollapsedSurvivesSuppressionAndForgedRetrievals) {
 }
 
 TEST(ClaimBroadcast, PhaseKingRejectsUndersizedGroupsAtTheBoundary) {
-  // n = 8 <= 4f at f = 2: the engine must abort at entry (the session and
-  // registry reject the combination before ever reaching it).
-  harness h(graph::complete(8), 2);
+  // n = 6 <= 3f at f = 2: no Byzantine agreement exists, and the engine
+  // must abort at entry (sessions reject n < 3f+1 at construction).
+  harness h(graph::complete(6), 2);
   const auto instances = distinct_claims(h.g);
   EXPECT_DEATH(
       broadcast_claims_phase_king(h.plan, h.net, h.faults, instances, 2),
-      "more than 4f participants");
+      "more than 3f participants");
 }
 
 }  // namespace

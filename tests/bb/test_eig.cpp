@@ -1,4 +1,4 @@
-#include "bb/eig.hpp"
+#include "eig_oracle.hpp"
 
 #include <gtest/gtest.h>
 

@@ -78,7 +78,7 @@ scenario_result run_scenario(const std::vector<graph::node_id>& corrupt,
 
   bb::channel_plan channels(g, 1);
   res.outcome = run_dispute_control(net, channels, g, faults, 1, 1, ctx,
-                                    res.record, adv, bb::claim_backend::eig);
+                                    res.record, adv);
   return res;
 }
 

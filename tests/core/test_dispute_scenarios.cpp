@@ -28,7 +28,7 @@ struct scenario_result {
 
 scenario_result run_scenario(const std::vector<graph::node_id>& corrupt,
                              nab_adversary* adv,
-                             bb::claim_backend backend = bb::claim_backend::eig) {
+                             bb::claim_backend backend = bb::claim_backend::collapsed) {
   const graph::digraph g = graph::complete(5, 2);
   sim::network net(g);
   sim::fault_set faults(5, corrupt);
@@ -153,9 +153,9 @@ TEST(DisputeScenario, MalformedClaimsConvict) {
 
 TEST(DisputeScenario, VerdictsAreBackendObliviousAndOnlyWireCostMoves) {
   // The same Phase-1/2 misbehavior must yield byte-identical Phase-3
-  // evidence under every claim backend; the DC1 wire accounting is exactly
+  // evidence under both claim backends; the DC1 wire accounting is exactly
   // what is allowed to differ (the collapsed backend transfers each
-  // transcript once per pair, the oracle once per EIG label relay).
+  // transcript once per pair, the phase king once per pair and round).
   for (auto* adversary_case : {"garbler", "flagger"}) {
     const bool garbler = std::string(adversary_case) == "garbler";
     phase1_corruptor garble;
@@ -164,24 +164,16 @@ TEST(DisputeScenario, VerdictsAreBackendObliviousAndOnlyWireCostMoves) {
                                  : static_cast<nab_adversary*>(&flag);
     const graph::node_id corrupt = garbler ? 2 : 3;
 
-    const auto eig = run_scenario({corrupt}, adv, bb::claim_backend::eig);
     const auto col = run_scenario({corrupt}, adv, bb::claim_backend::collapsed);
     const auto pk = run_scenario({corrupt}, adv, bb::claim_backend::phase_king);
-    for (const auto* other : {&col, &pk}) {
-      EXPECT_EQ(eig.outcome.new_disputes, other->outcome.new_disputes)
-          << adversary_case;
-      EXPECT_EQ(eig.outcome.newly_convicted, other->outcome.newly_convicted)
-          << adversary_case;
-      EXPECT_EQ(eig.outcome.agreed_value, other->outcome.agreed_value)
-          << adversary_case;
-      EXPECT_EQ(eig.record.pairs(), other->record.pairs()) << adversary_case;
-    }
-    EXPECT_GT(eig.outcome.claim_bits, 0u) << adversary_case;
+    EXPECT_EQ(pk.outcome.new_disputes, col.outcome.new_disputes) << adversary_case;
+    EXPECT_EQ(pk.outcome.newly_convicted, col.outcome.newly_convicted) << adversary_case;
+    EXPECT_EQ(pk.outcome.agreed_value, col.outcome.agreed_value) << adversary_case;
+    EXPECT_EQ(pk.record.pairs(), col.record.pairs()) << adversary_case;
     EXPECT_GT(col.outcome.claim_bits, 0u) << adversary_case;
     EXPECT_EQ(col.outcome.claim_fallbacks, 0) << adversary_case;
-    // K_5 sits below the asymptotic crossover, but the oracle must already
-    // pay more than the collapsed path here.
-    EXPECT_GT(eig.outcome.claim_bits, col.outcome.claim_bits) << adversary_case;
+    // The phase king carries every transcript on each of its 2f+3 rounds.
+    EXPECT_GT(pk.outcome.claim_bits, col.outcome.claim_bits) << adversary_case;
   }
 }
 

@@ -228,35 +228,33 @@ TEST(Session, FZeroRunsWithoutBBMachinery) {
 }
 
 TEST(Session, PhaseKingFlagsEngineWorks) {
-  // Same contract through the polynomial flag engine (K5 > 4f with f=1),
-  // including under an attack that forces dispute control.
+  // The session contract under an attack that forces dispute control.
   sim::fault_set faults(5, {2});
   phase1_corruptor adv;
-  session_config cfg{.g = graph::complete(5, 2), .f = 1};
-  cfg.flag_protocol = bb::bb_protocol::phase_king;
-  session s(cfg, faults, &adv);
+  session s({.g = graph::complete(5, 2), .f = 1}, faults, &adv);
   rng rand(21);
   const auto reports = s.run_many(4, 8, rand);
   check_session_invariants(s, faults, 1, reports);
   EXPECT_TRUE(reports[0].mismatch_announced);
 }
 
-TEST(Session, AutoFlagEngineSelectsByGroupSize) {
-  // n=4 with f=1 is <= 4f: auto must pick EIG and still work.
-  session_config cfg{.g = graph::complete(4), .f = 1};
-  cfg.flag_protocol = bb::bb_protocol::auto_select;
-  session s(cfg, sim::fault_set(4));
+TEST(Session, FlagPhasesFollowGroupSize) {
+  // n=4 with f=1 is <= 4f: three-round phases, each an n-bit exchange, a
+  // 2n-bit proposal round (value + ⊥ marker) and a 1-bit king round, after a
+  // 1-bit dissemination: 1 + 2 x (4 + 8 + 1) on unit links.
   rng rand(22);
+  session s({.g = graph::complete(4), .f = 1}, sim::fault_set(4));
   const auto r = s.run_instance(random_words(8, rand));
   EXPECT_TRUE(r.agreement);
   EXPECT_TRUE(r.validity);
+  EXPECT_EQ(r.time_flags, 27.0);
 
-  session_config cfg5{.g = graph::complete(5), .f = 1};
-  cfg5.flag_protocol = bb::bb_protocol::auto_select;
-  session s5(cfg5, sim::fault_set(5));
+  // n=5: two-round phases, 1 + 2 x (5 + 1).
+  session s5({.g = graph::complete(5), .f = 1}, sim::fault_set(5));
   const auto r5 = s5.run_instance(random_words(8, rand));
   EXPECT_TRUE(r5.agreement);
   EXPECT_TRUE(r5.validity);
+  EXPECT_EQ(r5.time_flags, 13.0);
 }
 
 TEST(Session, RotatingSourcesShareEvidence) {
@@ -334,25 +332,6 @@ TEST(Session, HighCapacityThroughputScalesWithC) {
     s.run_many(2, 512, rand);
     EXPECT_GT(s.stats().throughput(), prev);
     prev = s.stats().throughput();
-  }
-}
-
-TEST(Session, FlagEnginesAgreeOnOutcomes) {
-  // Both engines must produce identical instance outcomes on the same
-  // deterministic run (only timing differs).
-  for (const auto engine : {bb::bb_protocol::eig, bb::bb_protocol::phase_king}) {
-    sim::fault_set faults(5, {1});
-    phase2_liar adv(5);
-    session_config cfg{.g = graph::complete(5, 2), .f = 1};
-    cfg.flag_protocol = engine;
-    session s(cfg, faults, &adv);
-    rng rand(23);
-    const auto reports = s.run_many(3, 8, rand);
-    for (const auto& r : reports) {
-      EXPECT_TRUE(r.agreement);
-      EXPECT_TRUE(r.validity);
-    }
-    EXPECT_TRUE(reports[0].mismatch_announced);
   }
 }
 

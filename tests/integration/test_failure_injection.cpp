@@ -121,34 +121,38 @@ TEST(FailureInjection, ClaimForgeryDisputesButNeverConvictsVictim) {
   EXPECT_FALSE(s.disputes().is_convicted(0));  // the framed victim stays in
 }
 
-/// Misbehaves inside the classical-BB sub-protocol: equivocates its flag
-/// announcement within EIG (source_value hook), not just its input bit.
+/// Misbehaves inside the classical-BB sub-protocol: splits every flag value
+/// it sends within the phase king (exchange_value hook, every round and
+/// proposal), not just its input bit.
 class bb_level_equivocator : public nab_adversary {
  public:
   bool phase2_flag(graph::node_id, bool) override { return true; }
-  bb::eig_adversary* eig() override { return &eig_; }
+  bb::pk_adversary* pk() override { return &pk_; }
 
  private:
-  class split_flags : public bb::eig_adversary {
+  class split_flags : public bb::pk_adversary {
    public:
-    bb::value source_value(graph::node_id, graph::node_id receiver,
-                           const bb::value&) override {
-      return {receiver % 2 == 0 ? 1u : 0u};
+    std::uint64_t exchange_value(graph::node_id, graph::node_id receiver, int, bool,
+                                 std::uint64_t) override {
+      return receiver % 2 == 0 ? 1u : 0u;
     }
   };
-  split_flags eig_;
+  split_flags pk_;
 };
 
 TEST(FailureInjection, EquivocationInsideFlagBroadcast) {
-  // EIG agreement forces a single agreed flag bit despite the equivocation;
+  // Phase-king agreement forces a single agreed flag bit despite the
+  // equivocation, with two-round (K_5) and three-round (K_4) phases;
   // whatever it lands on, the instance outcome stays correct.
-  const graph::digraph g = graph::complete(5, 2);
-  sim::fault_set faults(5, {4});
-  bb_level_equivocator adv;
-  session s({.g = g, .f = 1}, faults, &adv);
-  rng rand(5);
-  expect_contract(s.run_many(4, 8, rand));
-  expect_soundness(s, faults, 1);
+  for (int n : {5, 4}) {
+    const graph::digraph g = graph::complete(n, 2);
+    sim::fault_set faults(n, {n - 1});
+    bb_level_equivocator adv;
+    session s({.g = g, .f = 1}, faults, &adv);
+    rng rand(5);
+    expect_contract(s.run_many(4, 8, rand));
+    expect_soundness(s, faults, 1);
+  }
 }
 
 /// Tampers every copy it relays on emulated BB paths (in addition to a

@@ -142,12 +142,12 @@ TEST(Registry, N64PresetsPinTheCollapsedClaimBackend) {
       EXPECT_GT(s.certify_cost_limit, 1'000'000'000u) << s.name;
     }
   }
-  // The three-backend ablation sweeps all engines on one topology.
+  // The backend ablation sweeps both engines on one topology.
   const scenario_family* ablation = find_family("ablation-claims");
   ASSERT_NE(ablation, nullptr);
   std::set<bb::claim_backend> seen;
   for (const scenario& s : ablation->expand()) seen.insert(s.claim_backend);
-  EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen.size(), 2u);
 }
 
 TEST(Registry, FrontierPresetsPinTheLeaveOneOutScale) {
@@ -212,30 +212,26 @@ TEST(Registry, EveryPresetStillCertifies) {
   }
 }
 
-TEST(Registry, PhaseKingEnginesAreOnlyConfiguredAboveFourF) {
-  // The > 4f precondition of both phase-king engines (flag broadcast and
-  // claim backend) is a registry-time feasibility rule: an undersized preset
-  // would be rejected at session construction, so none may exist. Checked
-  // against the topology's node count (every preset runs BB over the whole
-  // original network).
-  for (const scenario& s : all_scenarios()) {
+TEST(Registry, AblationFlagsSpansThePhaseKingBoundary) {
+  // The flag ablation must run both phase-king variants: a preset with
+  // 3f < n <= 4f (three-round phases) and one with n > 4f (two-round).
+  const scenario_family* fam = find_family("ablation-flags");
+  ASSERT_NE(fam, nullptr);
+  bool three_round = false, two_round = false;
+  for (const scenario& s : fam->expand()) {
     const int n = topology_nodes(s.topology);
-    if (s.flag_protocol == bb::bb_protocol::phase_king) {
-      EXPECT_TRUE(bb::phase_king_admissible(static_cast<std::size_t>(n), s.f))
-          << s.name;
-    }
-    if (s.claim_backend == bb::claim_backend::phase_king) {
-      EXPECT_TRUE(bb::phase_king_admissible(static_cast<std::size_t>(n), s.f))
-          << s.name;
-    }
+    ASSERT_GT(n, 3 * s.f) << s.name;
+    (n <= 4 * s.f ? three_round : two_round) = true;
   }
+  EXPECT_TRUE(three_round);
+  EXPECT_TRUE(two_round);
 }
 
 TEST(Registry, ClaimBackendStringsRoundTrip) {
-  for (auto b : {bb::claim_backend::auto_select, bb::claim_backend::eig,
-                 bb::claim_backend::phase_king, bb::claim_backend::collapsed})
+  for (auto b : {bb::claim_backend::phase_king, bb::claim_backend::collapsed})
     EXPECT_EQ(claim_backend_from_string(to_string(b)), b);
-  EXPECT_THROW(claim_backend_from_string("telepathy"), nab::error);
+  for (const char* gone : {"telepathy", "eig", "auto"})
+    EXPECT_THROW(claim_backend_from_string(gone), nab::error);
 }
 
 TEST(Registry, TraceCaptureFillsDeterministicTrafficMatrices) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/session.hpp"
@@ -148,6 +149,50 @@ TEST(RunArenaDeathTest, ResetWithLiveAllocationAborts) {
 }
 #endif
 
+TEST(RunArena, ReusedAndResetBlocksAreWritable) {
+  // Free-listed and reset space is poisoned under AddressSanitizer; handing
+  // it out again must unpoison exactly what the caller received.
+  run_arena a;
+  auto* p = static_cast<char*>(a.allocate(64, 16));
+  std::fill_n(p, 64, 'a');
+  a.deallocate(p, 64);
+  auto* q = static_cast<char*>(a.allocate(60, 16));  // same size class: reused
+  EXPECT_EQ(q, p);
+  std::fill_n(q, 64, 'b');
+  a.deallocate(q, 60);
+  a.reset();
+  auto* r = static_cast<char*>(a.allocate(4000, 16));
+  std::fill_n(r, 4000, 'c');
+  a.deallocate(r, 4000);
+  a.reset();
+}
+
+#if defined(__SANITIZE_ADDRESS__) && GTEST_HAS_DEATH_TEST
+TEST(RunArenaDeathTest, StaleUseIsReportedUnderAddressSanitizer) {
+  // A pointer kept past its block's return to the arena — to a free list,
+  // or by a reset — reads poisoned memory, which ASan reports as it would a
+  // use-after-free on the heap.
+  EXPECT_DEATH(
+      {
+        run_arena a;
+        auto* p = static_cast<volatile char*>(a.allocate(64, 16));
+        p[0] = 1;
+        a.deallocate(const_cast<char*>(p), 64);
+        a.reset();
+        p[8] = 2;
+      },
+      "use-after-poison");
+  EXPECT_DEATH(
+      {
+        run_arena a;
+        auto* p = static_cast<volatile char*>(a.allocate(64, 16));
+        a.deallocate(const_cast<char*>(p), 64);
+        p[16] = 3;
+      },
+      "use-after-poison");
+}
+#endif
+
 // ---------------------------------------------------------------------------
 // The allocation-budget regression harness.
 // ---------------------------------------------------------------------------
@@ -180,10 +225,11 @@ TEST(RunArena, AllocationBudgetCleanK7Session) {
               100.0 * (1.0 - static_cast<double>(pooled) /
                                  static_cast<double>(heap_path)));
 
-  // The seed measured ~3.4k heap allocations per clean K_7 instance; the
-  // unpooled path must still be in that regime for the ratio to mean
-  // anything.
-  EXPECT_GE(heap_path, 1000u) << "baseline lost its allocations — recalibrate";
+  // The seed measured ~3.4k heap allocations per clean K_7 instance, most of
+  // them EIG's label trees in the flag broadcast; with the phase-king flag
+  // engine the unpooled path measures ~830. It must stay in that regime for
+  // the ratio to mean anything.
+  EXPECT_GE(heap_path, 500u) << "baseline lost its allocations — recalibrate";
 
   // Tentpole criterion: the arena kills >= 80% of per-instance allocations.
   EXPECT_LE(pooled * 5, heap_path)
