@@ -10,10 +10,11 @@
 #include "bb/channels.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
-#include "graph/gomory_hu.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/mincut.hpp"
 #include "graph/tree_packing.hpp"
+#include "support/gomory_hu.hpp"
+#include "support/tree_packing_reference.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -22,6 +22,7 @@
 #include "graph/tree_packing.hpp"
 #include "obs/obs.hpp"
 #include "runtime/metrics.hpp"
+#include "support/tree_packing_reference.hpp"
 #include "util/heap_alloc_counter.hpp"
 #include "util/rng.hpp"
 

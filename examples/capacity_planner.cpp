@@ -16,11 +16,11 @@
 
 #include "core/nab.hpp"
 #include "graph/connectivity.hpp"
-#include "graph/dot.hpp"
 #include "graph/generators.hpp"
-#include "graph/gomory_hu.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/topology_io.hpp"
+#include "support/dot.hpp"
+#include "support/gomory_hu.hpp"
 
 int main(int argc, char** argv) {
   using namespace nab;

@@ -18,9 +18,6 @@
 //   --source S        broadcasting node (default 0)
 //   --corrupt A,B     corrupt node ids (default none)
 //   --adversary KIND  honest|p1garble|equivocate|p2lie|falseflag|stealth|chaos
-//   --claim-backend B Phase-3 DC1 engine: collapsed (default; the
-//                     Bracha-style digest-quorum backend) | phase_king
-//                     (the batched phase king over full transcripts)
 //   --q Q             instances (default 8)
 //   --words W         16-bit words per input, L = 16 W bits (default 64)
 //   --seed S          RNG seed (default 1)
@@ -52,7 +49,6 @@ struct options {
   nab::graph::node_id source = 0;
   std::vector<nab::graph::node_id> corrupt;
   std::string adversary = "honest";
-  std::string claim_backend = "collapsed";
   int q = 8;
   std::size_t words = 64;
   std::uint64_t seed = 1;
@@ -65,8 +61,7 @@ struct options {
                "usage: nabsim run|bounds|pipeline [--topology FILE | --n N --cap C] "
                "[--f F] [--source S]\n"
                "              [--corrupt A,B] [--adversary KIND] "
-               "[--claim-backend collapsed|phase_king]\n"
-               "              [--q Q] [--words W] [--seed S] [--tsv]\n"
+               "[--q Q] [--words W] [--seed S] [--tsv]\n"
                "              [--loss none|zero|light|bursty|heavy|pG,pB,pG2B,pB2G]\n");
   std::exit(2);
 }
@@ -102,7 +97,6 @@ options parse(int argc, char** argv) {
     else if (a == "--source") o.source = std::atoi(next());
     else if (a == "--corrupt") o.corrupt = parse_ids(next());
     else if (a == "--adversary") o.adversary = next();
-    else if (a == "--claim-backend") o.claim_backend = next();
     else if (a == "--q") o.q = std::atoi(next());
     else if (a == "--words") o.words = static_cast<std::size_t>(std::atoll(next()));
     else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
@@ -140,14 +134,6 @@ std::unique_ptr<nab::core::nab_adversary> make_adversary(const options& o) {
   std::exit(2);
 }
 
-nab::bb::claim_backend parse_claim_backend(const std::string& s) {
-  using nab::bb::claim_backend;
-  if (s == "phase_king") return claim_backend::phase_king;
-  if (s == "collapsed") return claim_backend::collapsed;
-  std::fprintf(stderr, "unknown claim backend '%s'\n", s.c_str());
-  std::exit(2);
-}
-
 int cmd_run(const options& o) {
   using namespace nab;
   const graph::digraph g = load_graph(o);
@@ -162,11 +148,7 @@ int cmd_run(const options& o) {
         sim::parse_loss_spec(o.loss), o.seed ^ 0x1055eedULL);
     fault_scope = std::make_unique<sim::scoped_link_faults>(fault_model.get());
   }
-  core::session s({.g = g,
-                   .f = o.f,
-                   .source = o.source,
-                   .claim_backend = parse_claim_backend(o.claim_backend)},
-                  faults, adv.get());
+  core::session s({.g = g, .f = o.f, .source = o.source}, faults, adv.get());
   rng rand(o.seed);
   const auto reports = s.run_many(o.q, o.words, rand);
   if (o.tsv) {

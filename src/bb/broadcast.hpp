@@ -24,8 +24,9 @@ struct broadcast_outcome {
 };
 
 /// The paper's "Broadcast Default": a capacity-oblivious classical BB
-/// protocol used for the 1-bit flags of step 2.2 and the claim dumps of
-/// Phase 3. Correct for any topology with connectivity >= 2f+1 (channels
+/// protocol, the L-bit baseline NAB is compared against (the step-2.2 flags
+/// run the same engine; the Phase-3 claim dumps run bb/claim_bcast.hpp).
+/// Correct for any topology with connectivity >= 2f+1 (channels
 /// emulate the complete graph) and more than 3f participants. Runs the
 /// batched phase-king engine on one payload-valued instance; `time` covers
 /// every round, dissemination included.

@@ -1,9 +1,9 @@
 #include "bb/claim_bcast.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <set>
+#include <span>
+#include <utility>
 
 #include "bb/round_batch.hpp"
 #include "gf/gf2_16.hpp"
@@ -92,21 +92,21 @@ claim_digest claim_digest_of(const value& payload, std::uint64_t seed) {
   return d;
 }
 
-std::vector<claim_digest> claim_digests_of(const std::vector<const value*>& payloads,
-                                           std::uint64_t seed) {
-  std::vector<claim_digest> out(payloads.size());
+sim::pooled_vector<claim_digest> claim_digests_of(std::span<const value* const> payloads,
+                                                  std::uint64_t seed) {
+  sim::pooled_vector<claim_digest> out(payloads.size());
   // Same-length payloads advance in lockstep: per absorbed limb, each point's
   // accumulator row is one gf2_16::scale pass (multiply the whole row by the
   // evaluation point) followed by a limb xor. A group of one keeps the
   // scalar table walk — the row pass only pays off with real width.
-  std::vector<std::size_t> order(payloads.size());
+  sim::pooled_vector<std::size_t> order(payloads.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return payloads[a]->size() < payloads[b]->size();
   });
   const digest_tables& t = digests_for(seed);
-  std::array<std::vector<std::uint16_t>, 4> acc;
-  std::vector<std::uint16_t> limbs;
+  std::array<sim::pooled_vector<std::uint16_t>, 4> acc;
+  sim::pooled_vector<std::uint16_t> limbs;
   std::size_t lo = 0;
   while (lo < order.size()) {
     const std::size_t m = payloads[order[lo]]->size();
@@ -146,7 +146,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Wire plumbing: shared round batches (bb/round_batch.hpp), defensive
-// parsing. Every claim-backend unicast is tagged claim_traffic_tag.
+// parsing. Every claim unicast is tagged claim_traffic_tag.
 // ---------------------------------------------------------------------------
 
 // Item encodings (64-bit transport words):
@@ -235,22 +235,58 @@ bool next_index_item(const sim::payload& w, std::size_t& pos, std::size_t& q) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Collapsed-claim Bracha-style backend.
+// The collapsed-claim Bracha-style broadcast. Its per-(node, instance) state
+// lives in the ambient run arena.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Per-(node, instance) protocol state of the collapsed backend.
+template <typename T>
+using scratch = sim::pooled_vector<T>;
+
+/// One echo or ready: the digest voted for and the node that sent it.
+using vote = std::pair<std::uint64_t, graph::node_id>;
+/// A slot's votes, ascending by (digest, sender) and free of duplicates.
+using vote_list = scratch<vote>;
+
+void add_vote(vote_list& votes, std::uint64_t digest, graph::node_id from) {
+  const vote v{digest, from};
+  if (votes.empty() || votes.back() < v) {
+    votes.push_back(v);  // receipts mostly arrive in ascending sender order
+    return;
+  }
+  const auto it = std::lower_bound(votes.begin(), votes.end(), v);
+  if (*it != v) votes.insert(it, v);
+}
+
+/// The votes for `digest`, senders ascending.
+std::span<const vote> votes_for(const vote_list& votes, std::uint64_t digest) {
+  const auto run = std::ranges::equal_range(votes, digest, {}, &vote::first);
+  return {run.begin(), run.end()};
+}
+
+/// The votes of the smallest digest that has at least `quorum` of them;
+/// empty when no digest has.
+std::span<const vote> first_quorum(const vote_list& votes, int quorum) {
+  for (auto lo = votes.begin(); lo != votes.end();) {
+    const auto hi = std::ranges::upper_bound(lo, votes.end(), lo->first, {}, &vote::first);
+    if (hi - lo >= quorum) return {lo, hi};
+    lo = hi;
+  }
+  return {};
+}
+
+/// Per-(node, instance) protocol state.
 struct collapsed_slot {
   value direct;                      ///< transcript copy from the claimant
   bool has_direct = false;
   std::uint64_t direct_digest = 0;   ///< digest of `direct` (valid iff has_direct)
   std::optional<std::uint64_t> announced;  ///< digest the claimant announced
-  /// Echo senders per digest (sorted): the vote counts for the quorum, and —
-  /// because honest nodes echo only while holding a matching transcript —
-  /// the requester's address book for the retrieval round.
-  std::map<std::uint64_t, std::set<graph::node_id>> echo_from;
-  std::map<std::uint64_t, std::set<graph::node_id>> ready_from;
+  /// Echo votes: the counts for the quorum, and — because honest nodes echo
+  /// only while holding a matching transcript — the requester's address
+  /// book for the retrieval round.
+  vote_list echo_from;
+  vote_list ready_from;
   std::optional<std::uint64_t> ready_sent;
   std::optional<std::uint64_t> pending_ready;
   std::optional<std::uint64_t> accepted;
@@ -263,10 +299,11 @@ struct collapsed_slot {
 
 }  // namespace
 
-claim_outcome broadcast_claims_collapsed(
-    channel_plan& channels, sim::network& net, const sim::fault_set& faults,
-    const std::vector<claim_instance>& instances, int f, claim_adversary* adv,
-    relay_adversary* relay_adv, std::uint64_t digest_seed) {
+claim_outcome broadcast_claims(channel_plan& channels, sim::network& net,
+                               const sim::fault_set& faults,
+                               const std::vector<claim_instance>& instances, int f,
+                               claim_adversary* adv, relay_adversary* relay_adv,
+                               std::uint64_t digest_seed) {
   const std::vector<graph::node_id> participants =
       channels.topology().active_nodes();
   const auto np = static_cast<int>(participants.size());
@@ -288,10 +325,9 @@ claim_outcome broadcast_claims_collapsed(
 
   const double t0 = net.elapsed();
   round_batches batches(universe, participants);
-  std::vector<std::vector<collapsed_slot>> st(
-      static_cast<std::size_t>(universe), std::vector<collapsed_slot>(q_count));
+  scratch<collapsed_slot> st(static_cast<std::size_t>(universe) * q_count);
   const auto slot = [&](graph::node_id v, std::size_t q) -> collapsed_slot& {
-    return st[static_cast<std::size_t>(v)][q];
+    return st[static_cast<std::size_t>(v) * q_count + q];
   };
 
   // ---- Round 1 (PROPOSE): digest + the single direct transcript copy. ----
@@ -334,7 +370,7 @@ claim_outcome broadcast_claims_collapsed(
     // Absorb every accepted proposal first, then digest the whole round in
     // one batch: each accepted slot is digested exactly once either way, so
     // the batch only widens the rows the gf2_16 kernels see.
-    std::vector<collapsed_slot*> filled;
+    scratch<collapsed_slot*> filled;
     for (graph::node_id r : participants) {
       for (const sim::message& m : channels.inbox(r)) {
         std::size_t pos = 0, q = 0;
@@ -351,11 +387,10 @@ claim_outcome broadcast_claims_collapsed(
         }
       }
     }
-    std::vector<const value*> transcripts;
+    scratch<const value*> transcripts;
     transcripts.reserve(filled.size());
     for (const collapsed_slot* s : filled) transcripts.push_back(&s->direct);
-    const std::vector<claim_digest> digests =
-        claim_digests_of(transcripts, digest_seed);
+    const scratch<claim_digest> digests = claim_digests_of(transcripts, digest_seed);
     for (std::size_t i = 0; i < filled.size(); ++i)
       filled[i]->direct_digest = digests[i].packed();
   }
@@ -394,14 +429,14 @@ claim_outcome broadcast_claims_collapsed(
       for (std::size_t q = 0; q < q_count; ++q) {
         const collapsed_slot& s = slot(j, q);
         if (s.announced && s.holds(*s.announced))
-          slot(j, q).echo_from[*s.announced].insert(j);
+          add_vote(slot(j, q).echo_from, *s.announced, j);
       }
       for (const sim::message& m : channels.inbox(j)) {
         std::size_t pos = 0, q = 0;
         std::uint64_t dg = 0;
         while (next_digest_item(m.payload, pos, q, dg)) {
           if (q >= q_count) continue;
-          slot(j, q).echo_from[dg].insert(m.from);
+          add_vote(slot(j, q).echo_from, dg, m.from);
         }
       }
     }
@@ -413,11 +448,8 @@ claim_outcome broadcast_claims_collapsed(
   for (graph::node_id v : participants)
     for (std::size_t q = 0; q < q_count; ++q) {
       collapsed_slot& s = slot(v, q);
-      for (const auto& [dg, senders] : s.echo_from)
-        if (static_cast<int>(senders.size()) >= echo_quorum) {
-          s.pending_ready = dg;
-          break;
-        }
+      const std::span<const vote> quorum = first_quorum(s.echo_from, echo_quorum);
+      if (!quorum.empty()) s.pending_ready = quorum.front().first;
     }
 
   // ---- READY rounds to quiescence: each round flushes the pending      ----
@@ -437,7 +469,7 @@ claim_outcome broadcast_claims_collapsed(
         const std::uint64_t dg = *s.pending_ready;
         s.ready_sent = dg;
         s.pending_ready.reset();
-        s.ready_from[dg].insert(v);  // own ready counts
+        add_vote(s.ready_from, dg, v);  // own ready counts
         for (graph::node_id j : participants) {
           if (j == v) continue;
           if (may_lie) {
@@ -464,18 +496,15 @@ claim_outcome broadcast_claims_collapsed(
         std::uint64_t dg = 0;
         while (next_digest_item(m.payload, pos, q, dg)) {
           if (q >= q_count) continue;
-          slot(j, q).ready_from[dg].insert(m.from);
+          add_vote(slot(j, q).ready_from, dg, m.from);
         }
       }
       // Amplification: f+1 readys for a digest pull a not-yet-ready node in.
       for (std::size_t q = 0; q < q_count; ++q) {
         collapsed_slot& s = slot(j, q);
         if (s.ready_sent || s.pending_ready) continue;
-        for (const auto& [dg, senders] : s.ready_from)
-          if (static_cast<int>(senders.size()) >= ready_amplify) {
-            s.pending_ready = dg;
-            break;
-          }
+        const std::span<const vote> quorum = first_quorum(s.ready_from, ready_amplify);
+        if (!quorum.empty()) s.pending_ready = quorum.front().first;
       }
     }
   }
@@ -485,25 +514,21 @@ claim_outcome broadcast_claims_collapsed(
   for (graph::node_id v : participants)
     for (std::size_t q = 0; q < q_count; ++q) {
       collapsed_slot& s = slot(v, q);
-      for (const auto& [dg, senders] : s.ready_from)
-        if (static_cast<int>(senders.size()) >= ready_accept) {
-          s.accepted = dg;
-          // Margin gauges, honest observers only: how far this accept sat
-          // above the quorum rules. Record-minimum over the whole run — the
-          // closest the adversary pushed a quorum to its edge.
-          if (faults.is_honest(v)) {
-            obs::gauge_min(obs::gauge::quorum_slack,
-                           static_cast<std::int64_t>(senders.size()) -
-                               ready_accept);
-            const auto holders = s.echo_from.find(dg);
-            std::int64_t honest_holders = 0;
-            if (holders != s.echo_from.end())
-              for (graph::node_id h : holders->second)
-                if (faults.is_honest(h)) ++honest_holders;
-            obs::gauge_min(obs::gauge::hold_surplus, honest_holders - (f + 1));
-          }
-          break;
+      const std::span<const vote> readys = first_quorum(s.ready_from, ready_accept);
+      if (!readys.empty()) {
+        s.accepted = readys.front().first;
+        // Margin gauges, honest observers only: how far this accept sat
+        // above the quorum rules. Record-minimum over the whole run — the
+        // closest the adversary pushed a quorum to its edge.
+        if (faults.is_honest(v)) {
+          obs::gauge_min(obs::gauge::quorum_slack,
+                         static_cast<std::int64_t>(readys.size()) - ready_accept);
+          std::int64_t honest_holders = 0;
+          for (const vote& echo : votes_for(s.echo_from, *s.accepted))
+            if (faults.is_honest(echo.second)) ++honest_holders;
+          obs::gauge_min(obs::gauge::hold_surplus, honest_holders - (f + 1));
         }
+      }
       s.need_fallback = s.accepted && !s.holds(*s.accepted);
       if (s.need_fallback) {
         obs::count(obs::counter::claim_fallbacks);
@@ -522,16 +547,15 @@ claim_outcome broadcast_claims_collapsed(
   // ---- mismatched pair the fallback therefore moves O(f) copies, not   ----
   // ---- O(n).                                                           ----
   obs::scoped_span retrieval_span("claim_retrieval", net.elapsed());
-  std::vector<std::vector<std::pair<std::size_t, graph::node_id>>> requests(
+  scratch<scratch<std::pair<std::size_t, graph::node_id>>> requests(
       static_cast<std::size_t>(universe));
   for (graph::node_id v : participants)
     for (std::size_t q = 0; q < q_count; ++q) {
       const collapsed_slot& s = slot(v, q);
       if (!s.need_fallback) continue;
-      const auto holders = s.echo_from.find(*s.accepted);
-      if (holders == s.echo_from.end()) continue;  // nobody to ask
       int asked = 0;
-      for (graph::node_id j : holders->second) {  // set: ascending ids
+      for (const vote& echo : votes_for(s.echo_from, *s.accepted)) {  // ascending ids
+        const graph::node_id j = echo.second;
         if (j == v) continue;
         if (asked >= 2 * f + 1) break;
         ++asked;
@@ -543,7 +567,7 @@ claim_outcome broadcast_claims_collapsed(
   batches.flush(channels, claim_traffic_tag);
   channels.end_round(net, faults, relay_adv);
   {
-    std::vector<bool> seen(q_count, false);
+    scratch<bool> seen(q_count, false);
     for (graph::node_id j : participants)
       for (const sim::message& m : channels.inbox(j)) {
         std::fill(seen.begin(), seen.end(), false);
@@ -583,10 +607,10 @@ claim_outcome broadcast_claims_collapsed(
     // skips once a slot resolves; per-message batches keep the digested set
     // — and the field-op totals — identical to the one-at-a-time walk on
     // every duplicate-free (i.e. protocol-reachable) message.
-    std::vector<collapsed_slot*> candidates;
-    std::vector<value> responses;
-    std::vector<const value*> views;
-    std::vector<bool> msg_seen(q_count, false);
+    scratch<collapsed_slot*> candidates;
+    scratch<value> responses;
+    scratch<const value*> views;
+    scratch<bool> msg_seen(q_count, false);
     for (graph::node_id r : participants) {
       for (const sim::message& m : channels.inbox(r)) {
         candidates.clear();
@@ -605,8 +629,7 @@ claim_outcome broadcast_claims_collapsed(
         views.clear();
         views.reserve(responses.size());
         for (const value& resp : responses) views.push_back(&resp);
-        const std::vector<claim_digest> digests =
-            claim_digests_of(views, digest_seed);
+        const scratch<claim_digest> digests = claim_digests_of(views, digest_seed);
         for (std::size_t i = 0; i < candidates.size(); ++i) {
           collapsed_slot& s = *candidates[i];
           if (s.resolved_by_fallback) continue;
@@ -633,22 +656,6 @@ claim_outcome broadcast_claims_collapsed(
     }
 
   out.time = net.elapsed() - t0;
-  return out;
-}
-
-claim_outcome broadcast_claims(claim_backend backend, channel_plan& channels,
-                               sim::network& net, const sim::fault_set& faults,
-                               const std::vector<claim_instance>& instances, int f,
-                               claim_adversary* claim_adv, relay_adversary* relay_adv,
-                               std::uint64_t digest_seed) {
-  const bool pk = backend == claim_backend::phase_king;
-  obs::scoped_span span(pk ? "claim_backend_phase_king" : "claim_backend_collapsed",
-                        net.elapsed());
-  claim_outcome out =
-      pk ? broadcast_claims_phase_king(channels, net, faults, instances, f, relay_adv)
-         : broadcast_claims_collapsed(channels, net, faults, instances, f, claim_adv,
-                                      relay_adv, digest_seed);
-  span.end_tau(net.elapsed());
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bb/channels.hpp"
@@ -13,32 +14,15 @@
 
 namespace nab::bb {
 
-/// Which engine disseminates the Phase-3 claim transcripts (Appendix B,
-/// DC1). Both backends provide the same contract — every honest participant
-/// decides the same payload per claimant, equal to the claimant's input when
-/// the claimant is honest — so dispute control is backend-oblivious and the
-/// dispute sets / convictions / agreed values are byte-identical across
-/// backends (pinned against the EIG oracle by
-/// tests/bb/test_claim_backend_equivalence.cpp).
-enum class claim_backend {
-  /// Batched multi-valued phase-king over the full transcripts (the engine
-  /// in bb/phase_king.cpp): polynomial O(n^2 * L * f) traffic, but pays L on
-  /// every exchange round.
-  phase_king,
-  /// Collapsed-claim Bracha-style broadcast: fixed-size GF(2^16) transcript
-  /// digests (evaluation points seeded per run) travel through echo/ready
-  /// quorums while the full transcript is unicast exactly once per
-  /// (claimant, receiver) pair; digest-mismatched pairs (the disputed
-  /// minority) fall back to a retrieval round asking <= 2f+1 of the
-  /// echoer-holders, among which the >= f+1 honest holders any accepted
-  /// digest guarantees always answer. DC1 costs O(n^2 * digest + disputes *
-  /// f * L). The default.
-  collapsed,
-};
+/// The one Phase-3 claim engine (Appendix B, DC1) is the collapsed-claim
+/// broadcast below. `claim_backend` keeps that single value only because
+/// perfbench/nab_bench.cpp still assigns `core::session_config::claim_backend`;
+/// nothing reads it.
+enum class claim_backend { collapsed };
 
 /// Trace tag stamped on every claim-dissemination unicast (and forwarded by
 /// the channel emulation onto every link-level charge), so a sim::trace can
-/// account DC1 claim bytes per backend — see trace::tag_total.
+/// account DC1 claim bytes — see trace::tag_total.
 inline constexpr std::uint64_t claim_traffic_tag = 0xC1A1B;
 
 /// Fixed-size transcript digest: the payload (length-prefixed, split into
@@ -82,15 +66,16 @@ inline constexpr std::uint64_t claim_digest_bits = 64;
 claim_digest claim_digest_of(const value& payload, std::uint64_t seed = 0);
 
 /// Batched form: digests every payload (non-null pointers, one shared seed)
-/// and returns the digests in input order. Payloads of equal length advance
-/// in lockstep — one gf2_16::scale row pass per absorbed limb across the
-/// whole group — so a round's worth of transcripts runs through the
-/// dispatched SIMD row kernels instead of per-payload table walks. Field-op
-/// totals match size() scalar claim_digest_of calls exactly (the work moves
-/// from gf_mul_ops to gf_scale_words limb for limb), so gf_ops-keyed run
-/// signatures are unchanged.
-std::vector<claim_digest> claim_digests_of(const std::vector<const value*>& payloads,
-                                           std::uint64_t seed = 0);
+/// and returns the digests in input order, in the ambient run arena.
+/// Payloads of equal length advance in lockstep — one gf2_16::scale row
+/// pass per absorbed limb across the whole group — so a round's worth of
+/// transcripts runs through the dispatched SIMD row kernels instead of
+/// per-payload table walks. Field-op totals match size() scalar
+/// claim_digest_of calls exactly (the work moves from gf_mul_ops to
+/// gf_scale_words limb for limb), so gf_ops-keyed run signatures are
+/// unchanged.
+sim::pooled_vector<claim_digest> claim_digests_of(std::span<const value* const> payloads,
+                                                  std::uint64_t seed = 0);
 
 /// One claim to disseminate: `source` wants every participant to decide its
 /// `input` transcript. `value_bits` is the wire size charged per transmitted
@@ -108,18 +93,16 @@ struct claim_outcome {
   /// validate).
   std::vector<std::vector<value>> agreed;
   double time = 0.0;
-  /// Collapsed backend only: number of (claimant, receiver) pairs whose
-  /// direct transcript copy mismatched the accepted digest and was served by
+  /// Number of (claimant, receiver) pairs whose direct transcript copy
+  /// mismatched the accepted digest and was served by
   /// the retrieval round instead. Zero whenever every claimant proposed
   /// consistently — the honest steady state.
   int fallback_retrievals = 0;
 };
 
-/// Adversary hooks for corrupt participants of the collapsed backend. Every
+/// Adversary hooks for corrupt participants of the claim broadcast. Every
 /// hook receives what an honest node would have sent; the default behaves
-/// honestly, so strategies override only their attack surface. (The batched
-/// phase-king path carries no in-protocol hooks — corrupt claimants there lie
-/// via their inputs.)
+/// honestly, so strategies override only their attack surface.
 class claim_adversary {
  public:
   virtual ~claim_adversary() = default;
@@ -183,30 +166,20 @@ class claim_adversary {
   }
 };
 
-/// Batched multi-valued phase-king backend (participants > 3f): one
-/// dissemination round, then f+1 phases of two or three rounds, all
-/// instances sharing rounds (the engine in bb/phase_king.cpp).
-claim_outcome broadcast_claims_phase_king(
-    channel_plan& channels, sim::network& net, const sim::fault_set& faults,
-    const std::vector<claim_instance>& instances, int f,
-    relay_adversary* relay_adv = nullptr);
-
-/// Collapsed-claim Bracha-style backend (participants > 3f): digest
-/// echo/ready agreement + single direct transcript copies + retrieval
-/// fallback for the digest-mismatched minority, served by at most 2f+1 of
-/// the holders the echo round exposed. `digest_seed` picks the digest
-/// evaluation points (see claim_digest).
-claim_outcome broadcast_claims_collapsed(
-    channel_plan& channels, sim::network& net, const sim::fault_set& faults,
-    const std::vector<claim_instance>& instances, int f,
-    claim_adversary* adv = nullptr, relay_adversary* relay_adv = nullptr,
-    std::uint64_t digest_seed = 0);
-
-/// Dispatches on `backend`, inside a claim_backend_<name> span.
-claim_outcome broadcast_claims(claim_backend backend, channel_plan& channels,
-                               sim::network& net, const sim::fault_set& faults,
+/// Collapsed-claim Bracha-style broadcast (participants > 3f): fixed-size
+/// GF(2^16) transcript digests (evaluation points from `digest_seed`, see
+/// claim_digest) travel through echo/ready quorums while the full
+/// transcript is unicast exactly once per (claimant, receiver) pair; digest-mismatched pairs (the disputed
+/// minority) fall back to a retrieval round asking <= 2f+1 of the
+/// echoer-holders, among which the >= f+1 honest holders any accepted
+/// digest guarantees always answer. DC1 costs O(n^2 * digest + disputes *
+/// f * L). Every honest participant decides the same payload per claimant,
+/// equal to the claimant's input when the claimant is honest (pinned
+/// against the EIG oracle by tests/bb/test_claim_equivalence.cpp).
+claim_outcome broadcast_claims(channel_plan& channels, sim::network& net,
+                               const sim::fault_set& faults,
                                const std::vector<claim_instance>& instances, int f,
-                               claim_adversary* claim_adv = nullptr,
+                               claim_adversary* adv = nullptr,
                                relay_adversary* relay_adv = nullptr,
                                std::uint64_t digest_seed = 0);
 

@@ -7,7 +7,6 @@
 #include <type_traits>
 
 #include "bb/broadcast.hpp"
-#include "bb/claim_bcast.hpp"
 #include "util/assert.hpp"
 
 namespace nab::bb {
@@ -149,7 +148,6 @@ struct engine {
   const sim::fault_set& faults;
   std::vector<std::uint64_t> bits;   ///< wire charge per instance
   bool rotate_kings;                 ///< instance q's kings start at offset q (else 0)
-  std::optional<std::uint64_t> tag;  ///< fixed traffic tag (else the phase)
   pk_adversary* adv;
   relay_adversary* relay_adv;
   const std::vector<graph::node_id> participants = channels.topology().active_nodes();
@@ -170,8 +168,7 @@ struct engine {
   template <typename Vals>
   void round(const carry_lists& carried, const Vals& vals, int phase, bool king_round) {
     using T = typename Vals::value_type;
-    const std::uint64_t round_tag =
-        tag.value_or(phase < 0 ? 0 : static_cast<std::uint64_t>(phase));
+    const std::uint64_t round_tag = phase < 0 ? 0 : static_cast<std::uint64_t>(phase);
     constexpr std::uint64_t marker = std::is_same_v<T, V> ? 0 : 1;
     scratch<T> row;
     sim::payload encoded;
@@ -335,7 +332,7 @@ pk_result phase_king_consensus(channel_plan& channels, sim::network& net,
                                relay_adversary* relay_adv) {
   NAB_ASSERT(initial.size() >= static_cast<std::size_t>(channels.topology().universe()),
              "initial values must cover the node universe");
-  engine<std::uint64_t> e{channels, net, faults, {value_bits}, false, {}, adv, relay_adv};
+  engine<std::uint64_t> e{channels, net, faults, {value_bits}, false, adv, relay_adv};
   pk_result out{initial};
   const double t0 = net.elapsed();
   e.agree(out.decided, f);
@@ -347,7 +344,7 @@ pk_result phase_king_broadcast(channel_plan& channels, sim::network& net,
                                const sim::fault_set& faults, graph::node_id source,
                                std::uint64_t input, int f, std::uint64_t value_bits,
                                pk_adversary* adv, relay_adversary* relay_adv) {
-  engine<std::uint64_t> e{channels, net, faults, {value_bits}, false, {}, adv, relay_adv};
+  engine<std::uint64_t> e{channels, net, faults, {value_bits}, false, adv, relay_adv};
   const scratch<std::uint64_t> initial = e.disseminate({source}, {input});
   return phase_king_consensus(
       channels, net, faults, std::vector<std::uint64_t>(initial.begin(), initial.end()), f,
@@ -359,7 +356,7 @@ broadcast_outcome broadcast_default(channel_plan& channels, sim::network& net,
                                     graph::node_id source, const value& input, int f,
                                     std::uint64_t value_bits, pk_adversary* adv,
                                     relay_adversary* relay_adv) {
-  engine<value> e{channels, net, faults, {value_bits}, false, {}, adv, relay_adv};
+  engine<value> e{channels, net, faults, {value_bits}, false, adv, relay_adv};
   broadcast_outcome out;
   const scratch<value> cur = e.run({source}, {input}, f, out.time);
   out.decisions.assign(cur.begin(), cur.end());
@@ -377,7 +374,7 @@ flags_outcome broadcast_flags_phase_king(channel_plan& channels, sim::network& n
   out.agreed.assign(universe, std::vector<bool>(universe, false));
   if (sources.empty()) return out;
   const std::vector<std::uint64_t> one_bit(sources.size(), 1);
-  engine<std::uint64_t> e{channels, net, faults, one_bit, true, {}, adv, relay_adv};
+  engine<std::uint64_t> e{channels, net, faults, one_bit, true, adv, relay_adv};
   scratch<std::uint64_t> inputs;
   for (graph::node_id src : sources)
     inputs.push_back(flags[static_cast<std::size_t>(src)]);
@@ -386,30 +383,6 @@ flags_outcome broadcast_flags_phase_king(channel_plan& channels, sim::network& n
     for (graph::node_id v : e.participants)
       out.agreed[static_cast<std::size_t>(sources[q])][static_cast<std::size_t>(v)] =
           cur[e.at(q, v)] != 0;
-  return out;
-}
-
-claim_outcome broadcast_claims_phase_king(channel_plan& channels, sim::network& net,
-                                          const sim::fault_set& faults,
-                                          const std::vector<claim_instance>& instances,
-                                          int f, relay_adversary* relay_adv) {
-  engine<value> e{channels, net, faults, {}, false, claim_traffic_tag, nullptr,
-                  relay_adv};
-  claim_outcome out;
-  out.agreed.assign(instances.size(), std::vector<value>(e.universe));
-  if (instances.empty()) return out;
-  std::vector<graph::node_id> sources;
-  scratch<value> inputs;
-  for (const claim_instance& inst : instances) {
-    NAB_ASSERT(inst.value_bits > 0, "claim instance needs a wire size");
-    e.bits.push_back(inst.value_bits + 16);  // 16-bit item header
-    sources.push_back(inst.source);
-    inputs.push_back(inst.input);
-  }
-  scratch<value> cur = e.run(sources, std::move(inputs), f, out.time);
-  for (std::size_t q = 0; q < instances.size(); ++q)
-    for (graph::node_id v : e.participants)
-      out.agreed[q][static_cast<std::size_t>(v)] = std::move(cur[e.at(q, v)]);
   return out;
 }
 

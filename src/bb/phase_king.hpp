@@ -18,11 +18,10 @@ namespace nab::bb {
 using value = sim::payload;
 
 // One batched engine (bb/phase_king.cpp) runs the calls below, the step-2.2
-// flags, the phase-king claim backend and broadcast_default: all instances
-// share every round, each sending every ordered pair one unicast. Flag
-// instance q's king in phase p is participants[(q + p) % np], otherwise
-// participants[p]; either way each instance meets f+1 distinct kings, so at
-// least one is honest.
+// flags and broadcast_default: all instances share every round, each
+// sending every ordered pair one unicast. Flag instance q's king in phase p
+// is participants[(q + p) % np], otherwise participants[p]; either way each
+// instance meets f+1 distinct kings, so at least one is honest.
 //
 // The engine picks the phase from (np, f), np = participants:
 // - np > 4f: two rounds (exchange, king; Attiya & Welch §5.2.5), 2f+3
@@ -52,7 +51,7 @@ class pk_adversary {
     return honest;
   }
 
-  /// exchange_value for payload-valued instances (claims, broadcast_default).
+  /// exchange_value for payload-valued instances (broadcast_default).
   virtual value exchange_payload(graph::node_id sender, graph::node_id receiver,
                                  int phase, bool is_king_round, const value& honest) {
     (void)sender;

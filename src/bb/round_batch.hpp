@@ -13,8 +13,8 @@ namespace nab::bb {
 /// (synchronous rounds make per-item messages and one batch
 /// indistinguishable on the wire); bits are accumulated per item, so the
 /// charge is exactly what per-item messages would have cost. Shared by the
-/// claim backends (and the EIG oracle in tests/bb/) — one implementation of the
-/// wire-batching contract.
+/// claim broadcast and the EIG oracle in tests/bb/ — one implementation of
+/// the wire-batching contract.
 struct round_batch {
   sim::payload payload;
   std::uint64_t bits = 0;
@@ -49,7 +49,7 @@ class round_batches {
  private:
   int universe_;
   const std::vector<graph::node_id>& participants_;
-  std::vector<round_batch> batches_;
+  sim::pooled_vector<round_batch> batches_;
 };
 
 }  // namespace nab::bb

@@ -70,7 +70,6 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
                                     const sim::fault_set& faults, int f_bb, int f,
                                     const instance_context& ctx,
                                     dispute_record& record, nab_adversary* adv,
-                                    bb::claim_backend backend,
                                     std::uint64_t digest_seed) {
   NAB_ASSERT(ctx.coding != nullptr, "instance context needs a coding scheme");
   const std::vector<graph::node_id> active = gk.active_nodes();
@@ -79,8 +78,8 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
 
   dispute_outcome outcome;
 
-  // ---- DC1: claim broadcast of every node's claims + the source's input,
-  // ---- through the pluggable backend (bb/claim_bcast.hpp). ----
+  // ---- DC1: claim broadcast of every node's claims + the source's input
+  // ---- (bb/claim_bcast.hpp). ----
   std::vector<bb::claim_instance> instances;
   std::vector<graph::node_id> claimant;  // instance index -> node
   for (graph::node_id v : active) {
@@ -116,7 +115,7 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
   {
     obs::scoped_span span("dc1_claims", net.elapsed());
     bb_out = bb::broadcast_claims(
-        backend, channels, net, faults, instances, f_bb,
+        channels, net, faults, instances, f_bb,
         adv != nullptr ? adv->claim_bcast() : nullptr,
         adv != nullptr ? adv->relay() : nullptr, digest_seed);
     span.end_tau(net.elapsed());

@@ -72,20 +72,15 @@ struct dispute_outcome {
 /// (f minus previously convicted nodes); `f` is the paper's global budget
 /// used for explaining-set enumeration.
 ///
-/// `backend` selects the DC1 claim-dissemination engine
-/// (bb/claim_bcast.hpp), and `digest_seed` feeds the collapsed backend's
-/// digest evaluation points (sessions pass their coding_seed — shared
-/// protocol state, like the coding matrices). Dispute sets, convictions, and the agreed value are
-/// byte-identical across backends — only the wire cost (claim_bits)
-/// differs.
+/// DC1 runs the collapsed claim broadcast (bb/claim_bcast.hpp);
+/// `digest_seed` feeds its digest evaluation points (sessions pass their
+/// coding_seed — shared protocol state, like the coding matrices).
 dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channels,
                                     const graph::digraph& gk,
                                     const sim::fault_set& faults, int f_bb, int f,
                                     const instance_context& ctx,
                                     dispute_record& record,
                                     nab_adversary* adv = nullptr,
-                                    bb::claim_backend backend =
-                                        bb::claim_backend::collapsed,
                                     std::uint64_t digest_seed = 0);
 
 /// DC4 in isolation: the set of nodes contained in *every* fault set of size

@@ -105,11 +105,11 @@ graph::capacity_t compute_uk(const graph::digraph& g,
     if (zero.load(std::memory_order_relaxed)) return;
     const auto& h = omega[i];
     // Per-H minimum pair cut via Stoer–Wagner. A Gomory–Hu-tree query
-    // (gomory_hu_tree(u.induced(h)).minimum_pair_cut()) answers the same
-    // question but measured 3-12x slower across every registry topology —
-    // Gusfield's |H|-1 max-flows lose to one dense O(|H|^3) pass at these
-    // sizes — so the tree stays on the per-pair reporting path only (see
-    // docs/PAPER_MAP.md, "Choice of rho_k").
+    // (tests/support/gomory_hu.hpp) answers the same question but measured
+    // 3-12x slower across every registry topology — Gusfield's |H|-1
+    // max-flows lose to one dense O(|H|^3) pass at these sizes — so the tree
+    // lives outside the library, for cross-checks and the capacity planner's
+    // per-pair report (see docs/PAPER_MAP.md, "Choice of rho_k").
     if (h.size() >= 2 && induced_connected(u, h))
       cuts[i] = graph::pairwise_min_cut(u.induced(h));
     if (cuts[i] == 0) zero.store(true, std::memory_order_relaxed);

@@ -44,16 +44,14 @@ void session::refresh_graph_state() {
   uk_ = analysis_->uk;
   rho_ = analysis_->rho;
 
-  // Generate (and, if asked, certify) the shared coding matrices. Theorem 1
+  // Generate and certify the shared coding matrices. Theorem 1
   // makes failure vanishingly unlikely; regeneration with a fresh seed is
   // the correct response when it does happen. When the rank checks would be
   // prohibitively large (rho_k scales with link capacities) we trust the
   // theorem instead of certifying. The estimate prices the certifier's one
   // elimination plus a corner rank per member; it is cached with the
   // analysis. Certification runs on the set-up worker count.
-  bool certify = cfg_.certify;
-  if (certify && analysis_->certify_cost > cfg_.certify_cost_limit)
-    certify = false;
+  const bool certify = analysis_->certify_cost <= cfg_.certify_cost_limit;
   for (int attempt = 0;; ++attempt) {
     {
       obs::scoped_span gen_span("coding_generate");
@@ -296,7 +294,7 @@ instance_report session::run_instance(const std::vector<word>& input,
             std::max(0, cfg_.f - static_cast<int>(record_.convicted().size()));
         dc = run_dispute_control(net, ensure_channels(), gk_, faults_,
                                  f_remaining, cfg_.f, ctx, record_, adv_,
-                                 cfg_.claim_backend, cfg_.coding_seed);
+                                 cfg_.coding_seed);
         span.end_tau(net.elapsed());
       }
       report.time_phase3 = dc.time;

@@ -28,11 +28,11 @@ struct session_config {
   int f = 1;                         ///< fault budget (f < n/3)
   graph::node_id source = 0;         ///< broadcasting node (the paper's node 1)
   std::uint64_t coding_seed = 0x5eed;///< seed for the shared coding matrices
-  bool certify = true;               ///< certify Theorem-1 condition, regenerating on failure
-  /// Certification is skipped (trusting Theorem 1's probabilistic guarantee)
-  /// when certify_cost_estimate exceeds this — on high-capacity networks
-  /// rho_k grows with link capacities and exact certification becomes a
-  /// one-off multi-second computation. The default admits K_16-class
+  /// The Theorem-1 condition is certified, regenerating the coding matrices
+  /// on failure. Certification is skipped (trusting Theorem 1's
+  /// probabilistic guarantee) when certify_cost_estimate exceeds this — on
+  /// high-capacity networks rho_k grows with link capacities and exact
+  /// certification becomes a one-off multi-second computation. The default admits K_16-class
   /// topologies (~0.6G ops at f = 2, ~0.3 s with the batched GF kernels);
   /// the seed's 200M limit was calibrated to the 3x-slower pre-axpy
   /// elimination and silently skipped them.
@@ -41,11 +41,8 @@ struct session_config {
   /// Read by nothing: the step-2.2 flags always run the batched phase king
   /// (bb/broadcast.hpp), which picks its phase from (participants, f).
   bb::bb_protocol flag_protocol = bb::bb_protocol::auto_select;
-  /// Claim-dissemination backend for Phase-3 DC1 (bb/claim_bcast.hpp):
-  /// collapsed costs O(n^2 digest + disputes * L), which is what opens the
-  /// n >= 64 presets; phase_king is the polynomial full-transcript
-  /// alternative. Dispute sets, convictions, and agreed values are
-  /// byte-identical across backends.
+  /// Read by nothing: Phase-3 DC1 always runs the collapsed claim broadcast
+  /// (bb/claim_bcast.hpp).
   bb::claim_backend claim_backend = bb::claim_backend::collapsed;
   /// Pool per-instance protocol memory (transcripts, claim maps, payloads)
   /// in a run arena that resets between instances. Results are bit-identical

@@ -24,10 +24,18 @@ digraph parse_topology(std::istream& in) {
       throw error("topology line " + std::to_string(line_no) + ": " + why);
     };
 
+    const auto end_of_line = [&] {
+      std::string extra;
+      if (ls >> extra) fail("unexpected trailing token '" + extra + "'");
+    };
+
     if (directive == "nodes") {
       int n = 0;
       if (!(ls >> n) || n <= 0) fail("expected positive node count");
+      end_of_line();
       if (have_nodes) fail("duplicate nodes directive");
+      if (n > max_topology_nodes)
+        fail("node count above the limit of " + std::to_string(max_topology_nodes));
       g = digraph(n);
       have_nodes = true;
     } else if (directive == "edge" || directive == "biedge") {
@@ -35,14 +43,19 @@ digraph parse_topology(std::istream& in) {
       node_id u = -1, v = -1;
       capacity_t cap = 0;
       if (!(ls >> u >> v >> cap)) fail("expected: " + directive + " <u> <v> <cap>");
+      end_of_line();
       if (u < 0 || v < 0 || u >= g.universe() || v >= g.universe())
         fail("node id out of range");
       if (u == v) fail("self-loop");
       if (cap <= 0) fail("capacity must be positive");
-      if (directive == "edge")
-        g.add_edge(u, v, cap);
-      else
+      const bool both = directive == "biedge";
+      if (cap > max_link_capacity - g.cap(u, v) ||
+          (both && cap > max_link_capacity - g.cap(v, u)))
+        fail("link capacity above the limit of " + std::to_string(max_link_capacity));
+      if (both)
         g.add_bidirectional(u, v, cap);
+      else
+        g.add_edge(u, v, cap);
     } else {
       fail("unknown directive '" + directive + "'");
     }

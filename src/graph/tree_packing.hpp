@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "util/rng.hpp"
 
 namespace nab::graph {
 
@@ -58,23 +57,5 @@ std::vector<spanning_tree> pack_arborescences(const digraph& g, node_id root, in
 /// construction's.
 std::vector<spanning_tree> pack_arborescences_lovasz(const digraph& g, node_id root,
                                                      int k, pack_stats* stats = nullptr);
-
-/// The pre-incremental construction (greedy with max-residual bias, Lovász
-/// safety via from-scratch per-sink max-flows). Retained as the reference
-/// implementation for equivalence tests and old-vs-new bench rows; not used
-/// by the protocol.
-std::vector<spanning_tree> pack_arborescences_reference(const digraph& g, node_id root,
-                                                        int k);
-
-/// Greedily packs `k` edge-disjoint undirected spanning trees (weights act
-/// as parallel unit edges), retrying with `attempts` random edge orders.
-///
-/// Nash-Williams/Tutte guarantee floor(U/2) trees exist when the global min
-/// cut is U; this packer is a randomized heuristic (exact packing is matroid
-/// union, which the protocol never needs — see docs/PAPER_MAP.md,
-/// "Heuristics where the paper needs only existence"). Returns the packed
-/// trees, or an empty vector if all attempts fail.
-std::vector<spanning_tree> pack_undirected_trees(const ugraph& g, int k, rng& rand,
-                                                 int attempts = 64);
 
 }  // namespace nab::graph

@@ -351,7 +351,6 @@ std::vector<scenario> hunt_contexts(std::string_view families,
     scenario c = s;
     c.family = "hunt";
     c.adversary = adversary_kind::hunted;
-    c.claim_backend = bb::claim_backend::collapsed;
     c.propagation = core::propagation_mode::cut_through;
     c.words = words;
     if (instances > 0) c.instances = instances;
@@ -440,7 +439,7 @@ hunt_genome crossover(const hunt_genome& a, const hunt_genome& b, rng& evo) {
 
 /// Hand-designed archetypes the first generation starts from: each pairs a
 /// dispute trigger (DC1 only runs after a mismatch or false flag) with one
-/// claim-backend squeeze — the combinations the margin gauges exist to watch.
+/// claim-broadcast squeeze — the combinations the margin gauges exist to watch.
 std::vector<hunt_genome> seed_population(int population, rng& evo) {
   std::vector<hunt_genome> pop;
   {
@@ -748,11 +747,21 @@ class jreader {
     ++pos_;
   }
 
+  /// Containers nest at most this deep (a corpus uses 3 levels), so a
+  /// hostile document cannot exhaust the stack through the recursion.
+  static constexpr int max_depth = 32;
+
   jvalue value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == max_depth) fail("nesting deeper than " + std::to_string(max_depth));
+        ++depth_;
+        jvalue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         jvalue v;
         v.k = jvalue::kind::string;
@@ -863,7 +872,10 @@ class jreader {
       fail("expected number");
     std::int64_t out = 0;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      out = out * 10 + (text_[pos_] - '0');
+      const int digit = text_[pos_] - '0';
+      if (out > (std::numeric_limits<std::int64_t>::max() - digit) / 10)
+        fail("number out of range");
+      out = out * 10 + digit;
       ++pos_;
     }
     v.num = negative ? -out : out;
@@ -872,6 +884,7 @@ class jreader {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 const jvalue& member(const jvalue& obj, std::string_view key) {

@@ -18,7 +18,7 @@
 /// confidence in the paper's dispute machinery by our own imagination. The
 /// hunt closes that gap: the full strategy space the adversary model allows
 /// — which phase to attack, equivocation/garble patterns, the collapsed
-/// claim backend's digest-equivocation / echo-suppression / forged-retrieval
+/// claim broadcast's digest-equivocation / echo-suppression / forged-retrieval
 /// hooks, even the corrupt-set choice — is parameterized as a serializable
 /// `hunt_genome`, evaluated in cheap batches across the work-stealing
 /// executor, and scored by *minimizing* the PR-5 invariant-margin gauges
@@ -60,7 +60,7 @@ struct hunt_genome {
   std::uint8_t flag_flip = 0;        ///< invert step-2.2 flags (forces DC)
   std::uint8_t claim_tamper = 0;     ///< tamper Phase-3 claim transcripts
   std::uint8_t input_lie = 0;        ///< tamper the DC1 source-input claim
-  // --- collapsed claim-backend hooks (bb::claim_adversary) ---
+  // --- claim-broadcast hooks (bb::claim_adversary) ---
   std::uint8_t digest_equivocate = 0;///< propose different payloads per receiver
   std::uint8_t digest_garble = 0;    ///< announce a digest != the payload's
   std::uint8_t echo_suppress = 0;    ///< withhold echoes (starve echo quorums)
@@ -88,7 +88,7 @@ struct hunt_genome {
 };
 
 /// The genome, executed: an adversary driving every corrupt node, plus the
-/// collapsed claim-backend hooks, with all randomness drawn from streams
+/// claim-broadcast hooks, with all randomness drawn from streams
 /// derived from (run seed, genome.noise_salt) — replaying the same genome
 /// under the same scenario and seed reproduces the run_record bit for bit.
 class genome_adversary : public core::nab_adversary {
@@ -110,7 +110,7 @@ class genome_adversary : public core::nab_adversary {
   bb::claim_adversary* claim_bcast() override { return &claim_; }
 
  private:
-  /// The collapsed-backend attack surface, driven by the same genome.
+  /// The claim-broadcast attack surface, driven by the same genome.
   class claim_hooks : public bb::claim_adversary {
    public:
     claim_hooks(const hunt_genome& g, std::uint64_t seed) : g_(g), rand_(seed) {}
@@ -205,9 +205,8 @@ struct hunt_config {
 };
 
 /// The evaluation contexts a hunt probes: every distinct (topology, f > 0)
-/// of the named families, with the adversary axis forced to `hunted` and the
-/// claim backend forced to `collapsed` — the backend whose quorum machinery
-/// carries the attackable margins. Deterministic, so a corpus's contexts are
+/// of the named families, with the adversary axis forced to `hunted`.
+/// Deterministic, so a corpus's contexts are
 /// reconstructible from its persisted settings. Throws nab::error when no
 /// named family contributes a fault-tolerant context.
 std::vector<scenario> hunt_contexts(std::string_view families,

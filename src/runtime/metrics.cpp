@@ -200,7 +200,6 @@ json run_record::to_json(bool include_timing) const {
       .set("f", json::num(f))
       .set("adversary", json::str(adversary))
       .set("propagation", json::str(propagation))
-      .set("claim_backend", json::str(claim_backend))
       .set("loss", json::str(loss))
       .set("instances", json::num(instances))
       .set("words", json::num(words))

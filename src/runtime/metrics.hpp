@@ -93,7 +93,6 @@ struct run_record {
   int f = 0;
   std::string adversary;
   std::string propagation;
-  std::string claim_backend;      ///< Phase-3 DC1 claim-dissemination engine
   std::string loss = "none";      ///< link-fault spec ("none" = perfect links)
   int instances = 0;
   std::uint64_t words = 0;
@@ -128,10 +127,9 @@ struct run_record {
   int phase1_only_instances = 0;
   int default_outcome_instances = 0;
   /// Wire bits DC1's claim dissemination consumed across the session (0
-  /// when no dispute phase ran) and, for the collapsed backend, how many
-  /// (claimant, receiver) pairs needed the full-transcript retrieval
-  /// fallback — the per-backend accounting the Theta(n^f) -> polynomial
-  /// claim-traffic claim is asserted against.
+  /// when no dispute phase ran) and how many (claimant, receiver) pairs
+  /// needed the full-transcript retrieval fallback — the accounting the
+  /// Theta(n^f) -> polynomial claim-traffic claim is asserted against.
   std::uint64_t dc1_claim_bits = 0;
   int dc1_fallbacks = 0;
 

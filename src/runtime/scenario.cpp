@@ -1,8 +1,6 @@
 #include "runtime/scenario.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <stdexcept>
 
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
@@ -104,7 +102,6 @@ std::string axis_suffix(const scenario_family& fam, const scenario& s) {
   if (fam.adversaries.size() > 1) out += "/" + to_string(s.adversary);
   if (fam.word_counts.size() > 1) out += "/w" + std::to_string(s.words);
   if (fam.propagations.size() > 1) out += "/" + to_string(s.propagation);
-  if (fam.claim_backends.size() > 1) out += "/cb-" + to_string(s.claim_backend);
   if (fam.losses.size() > 1) out += "/loss-" + s.loss;
   return out;
 }
@@ -113,8 +110,7 @@ std::string axis_suffix(const scenario_family& fam, const scenario& s) {
 
 std::vector<scenario> scenario_family::expand() const {
   NAB_ASSERT(!topologies.empty() && !fault_budgets.empty() && !adversaries.empty() &&
-                 !word_counts.empty() && !propagations.empty() &&
-                 !claim_backends.empty() && !losses.empty(),
+                 !word_counts.empty() && !propagations.empty() && !losses.empty(),
              "scenario_family with an empty axis");
   std::vector<scenario> out;
   for (const topology_spec& topo : topologies)
@@ -122,24 +118,22 @@ std::vector<scenario> scenario_family::expand() const {
       for (adversary_kind adv : adversaries)
         for (std::uint64_t w : word_counts)
           for (core::propagation_mode prop : propagations)
-            for (bb::claim_backend backend : claim_backends)
-              for (const std::string& loss : losses) {
-                scenario s;
-                s.family = name;
-                s.topology = topo;
-                s.f = f;
-                s.adversary = adv;
-                s.words = w;
-                s.propagation = prop;
-                s.claim_backend = backend;
-                s.loss = loss;
-                s.instances = instances;
-                s.rotate_sources = rotate_sources;
-                s.certify_cost_limit = certify_cost_limit;
-                if (adv == adversary_kind::hunted) s.genome = genome;
-                s.name = name + axis_suffix(*this, s);
-                out.push_back(std::move(s));
-              }
+            for (const std::string& loss : losses) {
+              scenario s;
+              s.family = name;
+              s.topology = topo;
+              s.f = f;
+              s.adversary = adv;
+              s.words = w;
+              s.propagation = prop;
+              s.loss = loss;
+              s.instances = instances;
+              s.rotate_sources = rotate_sources;
+              s.certify_cost_limit = certify_cost_limit;
+              if (adv == adversary_kind::hunted) s.genome = genome;
+              s.name = name + axis_suffix(*this, s);
+              out.push_back(std::move(s));
+            }
   return out;
 }
 
@@ -420,15 +414,13 @@ std::vector<scenario_family> build_registry() {
     scenario_family fam;
     fam.name = "ablation-claims";
     fam.description =
-        "Batched phase-king vs collapsed for the Phase-3 claim broadcast on "
-        "K_9 with an f = 2 coalition (false flags force a dispute phase "
-        "every instance; stealth farms real disputes; phase-1 garbling "
-        "convicts): dispute sets, convictions, and agreed values must be "
-        "byte-identical across backends — only the DC1 claim bytes move.";
+        "The Phase-3 claim broadcast on K_9 with an f = 2 coalition (false "
+        "flags force a dispute phase every instance; stealth farms real "
+        "disputes; phase-1 garbling convicts): echo/ready quorums, margin "
+        "gauges and DC1 claim bytes under each attack.";
     fam.topologies = {{.kind = tk::complete, .n = 9, .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {2};
     fam.adversaries = {ak::false_flag, ak::stealth, ak::p1_garble};
-    fam.claim_backends = {bb::claim_backend::phase_king, bb::claim_backend::collapsed};
     fam.instances = 4;
     reg.push_back(std::move(fam));
   }
@@ -686,153 +678,6 @@ std::string to_string(core::propagation_mode m) {
     case core::propagation_mode::pipelined: return "pipelined";
   }
   return "?";
-}
-
-std::string to_string(bb::claim_backend b) {
-  switch (b) {
-    case bb::claim_backend::phase_king: return "phase_king";
-    case bb::claim_backend::collapsed: return "collapsed";
-  }
-  return "?";
-}
-
-namespace {
-
-template <typename Enum>
-Enum parse_enum(std::string_view s, const std::vector<Enum>& all,
-                const char* what) {
-  for (Enum e : all)
-    if (to_string(e) == s) return e;
-  throw error(std::string("unknown ") + what + " '" + std::string(s) + "'");
-}
-
-}  // namespace
-
-topology_kind topology_kind_from_string(std::string_view s) {
-  static const std::vector<topology_kind> all = {
-      topology_kind::complete,      topology_kind::fig1a,
-      topology_kind::fig1b,         topology_kind::fig2,
-      topology_kind::ring,          topology_kind::erdos_renyi,
-      topology_kind::random_regular, topology_kind::hypercube,
-      topology_kind::clustered_wan, topology_kind::dumbbell,
-      topology_kind::weak_link,     topology_kind::path_of_cliques};
-  return parse_enum(s, all, "topology kind");
-}
-
-adversary_kind adversary_kind_from_string(std::string_view s) {
-  static const std::vector<adversary_kind> all = {
-      adversary_kind::honest,     adversary_kind::p1_garble,
-      adversary_kind::equivocate, adversary_kind::p2_lie,
-      adversary_kind::false_flag, adversary_kind::stealth,
-      adversary_kind::dispute_farm, adversary_kind::chaos,
-      adversary_kind::hunted};
-  return parse_enum(s, all, "adversary kind");
-}
-
-core::propagation_mode propagation_from_string(std::string_view s) {
-  static const std::vector<core::propagation_mode> all = {
-      core::propagation_mode::cut_through,
-      core::propagation_mode::store_and_forward,
-      core::propagation_mode::pipelined};
-  return parse_enum(s, all, "propagation mode");
-}
-
-bb::claim_backend claim_backend_from_string(std::string_view s) {
-  static const std::vector<bb::claim_backend> all = {bb::claim_backend::phase_king,
-                                                     bb::claim_backend::collapsed};
-  return parse_enum(s, all, "claim backend");
-}
-
-std::map<std::string, std::string> scenario_to_params(const scenario& s) {
-  std::map<std::string, std::string> p;
-  p["name"] = s.name;
-  p["family"] = s.family;
-  p["topology"] = to_string(s.topology.kind);
-  p["n"] = std::to_string(s.topology.n);
-  p["param_a"] = std::to_string(s.topology.param_a);
-  p["param_b"] = std::to_string(s.topology.param_b);
-  p["cap_lo"] = std::to_string(s.topology.cap_lo);
-  p["cap_hi"] = std::to_string(s.topology.cap_hi);
-  {
-    char buf[40];  // %.17g round-trips every double exactly through stod
-    std::snprintf(buf, sizeof buf, "%.17g", s.topology.p);
-    p["p"] = buf;
-  }
-  p["f"] = std::to_string(s.f);
-  p["source"] = std::to_string(s.source);
-  p["adversary"] = to_string(s.adversary);
-  p["propagation"] = to_string(s.propagation);
-  p["claim_backend"] = to_string(s.claim_backend);
-  p["instances"] = std::to_string(s.instances);
-  p["words"] = std::to_string(s.words);
-  p["rotate_sources"] = s.rotate_sources ? "1" : "0";
-  p["certify_cost_limit"] = std::to_string(s.certify_cost_limit);
-  p["genome"] = s.genome;
-  p["pool_memory"] = s.pool_memory ? "1" : "0";
-  p["loss"] = s.loss;
-  return p;
-}
-
-namespace {
-
-const std::string& param(const std::map<std::string, std::string>& params,
-                         const std::string& key) {
-  auto it = params.find(key);
-  if (it == params.end()) throw error("scenario_from_params: missing key " + key);
-  return it->second;
-}
-
-/// Numeric conversions rethrow as nab::error naming the key, keeping the
-/// function's single error contract (callers reject malformed logs by
-/// catching nab::error, not std::invalid_argument).
-template <typename Conv>
-auto numeric(const std::map<std::string, std::string>& params,
-             const std::string& key, Conv conv) {
-  try {
-    return conv(param(params, key));
-  } catch (const std::invalid_argument&) {
-    throw error("scenario_from_params: malformed value for " + key);
-  } catch (const std::out_of_range&) {
-    throw error("scenario_from_params: out-of-range value for " + key);
-  }
-}
-
-}  // namespace
-
-scenario scenario_from_params(const std::map<std::string, std::string>& params) {
-  scenario s;
-  s.name = param(params, "name");
-  s.family = param(params, "family");
-  const auto to_int = [](const std::string& v) { return std::stoi(v); };
-  const auto to_cap = [](const std::string& v) {
-    return static_cast<graph::capacity_t>(std::stoll(v));
-  };
-  s.topology.kind = topology_kind_from_string(param(params, "topology"));
-  s.topology.n = numeric(params, "n", to_int);
-  s.topology.param_a = numeric(params, "param_a", to_int);
-  s.topology.param_b = numeric(params, "param_b", to_int);
-  s.topology.cap_lo = numeric(params, "cap_lo", to_cap);
-  s.topology.cap_hi = numeric(params, "cap_hi", to_cap);
-  s.topology.p = numeric(params, "p", [](const std::string& v) { return std::stod(v); });
-  s.f = numeric(params, "f", to_int);
-  s.source = numeric(params, "source", to_int);
-  s.adversary = adversary_kind_from_string(param(params, "adversary"));
-  s.propagation = propagation_from_string(param(params, "propagation"));
-  s.claim_backend = claim_backend_from_string(param(params, "claim_backend"));
-  s.instances = numeric(params, "instances", to_int);
-  const auto to_u64 = [](const std::string& v) { return std::stoull(v); };
-  s.words = numeric(params, "words", to_u64);
-  s.rotate_sources = param(params, "rotate_sources") == "1";
-  s.certify_cost_limit = numeric(params, "certify_cost_limit", to_u64);
-  // Absent in pre-hunt logs; an empty genome is the non-hunted default.
-  const auto genome_it = params.find("genome");
-  s.genome = genome_it != params.end() ? genome_it->second : "";
-  const auto pool_it = params.find("pool_memory");
-  s.pool_memory = pool_it == params.end() || pool_it->second == "1";
-  // Absent in pre-loss logs; "none" is the perfect-link default.
-  const auto loss_it = params.find("loss");
-  s.loss = loss_it != params.end() ? loss_it->second : "none";
-  return s;
 }
 
 }  // namespace nab::runtime

@@ -1,12 +1,10 @@
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "bb/claim_bcast.hpp"
 #include "core/adversary.hpp"
 #include "core/phase1.hpp"
 #include "graph/digraph.hpp"
@@ -87,8 +85,6 @@ struct scenario {
   graph::node_id source = 0;
   adversary_kind adversary = adversary_kind::honest;
   core::propagation_mode propagation = core::propagation_mode::cut_through;
-  /// Phase-3 DC1 claim-dissemination backend (bb/claim_bcast.hpp).
-  bb::claim_backend claim_backend = bb::claim_backend::collapsed;
   int instances = 4;              ///< NAB instances per run (amortization)
   std::uint64_t words = 64;       ///< 16-bit words per input (L = 16*words)
   bool rotate_sources = false;
@@ -108,8 +104,7 @@ struct scenario {
   /// Link-fault process (sim::link_faults): "none" = perfect links (no model
   /// attached), otherwise a spec sim::parse_loss_spec accepts — a preset
   /// name ("zero", "light", "bursty", "heavy") or a custom
-  /// "p_good,p_bad,p_g2b,p_b2g" tuple. Stored as the verbatim spec string
-  /// so scenario_to_params round-trips exactly.
+  /// "p_good,p_bad,p_g2b,p_b2g" tuple, stored as the verbatim spec string.
   std::string loss = "none";
 
   bool operator==(const scenario&) const = default;
@@ -128,8 +123,6 @@ struct scenario_family {
   std::vector<std::uint64_t> word_counts = {64};
   std::vector<core::propagation_mode> propagations = {
       core::propagation_mode::cut_through};
-  /// The claim-backends axis: which DC1 engines the family sweeps.
-  std::vector<bb::claim_backend> claim_backends = {bb::claim_backend::collapsed};
   /// The loss axis: link-fault specs the family sweeps ("none" = clean).
   std::vector<std::string> losses = {"none"};
   int instances = 4;
@@ -156,20 +149,10 @@ const scenario_family* find_family(std::string_view name);
 /// concrete sweep. Throws nab::error on an unknown name.
 std::vector<scenario> select_scenarios(std::string_view names);
 
-// --- string round-trip (JSON fields, CLI parsing, registry tests) ---
+// --- names (scenario names, JSON fields) ---
 
 std::string to_string(topology_kind k);
 std::string to_string(adversary_kind k);
 std::string to_string(core::propagation_mode m);
-std::string to_string(bb::claim_backend b);
-topology_kind topology_kind_from_string(std::string_view s);
-adversary_kind adversary_kind_from_string(std::string_view s);
-core::propagation_mode propagation_from_string(std::string_view s);
-bb::claim_backend claim_backend_from_string(std::string_view s);
-
-/// Flat key->value encoding of every scenario field, suitable for logs and
-/// exact reconstruction. scenario_from_params(scenario_to_params(s)) == s.
-std::map<std::string, std::string> scenario_to_params(const scenario& s);
-scenario scenario_from_params(const std::map<std::string, std::string>& params);
 
 }  // namespace nab::runtime

@@ -213,12 +213,10 @@ class dropping_relay : public core::nab_adversary {
 
 core::session_run run_one(const graph::digraph& g, int f,
                           const std::vector<graph::node_id>& corrupt,
-                          core::nab_adversary* adv, bb::claim_backend claims,
-                          bool pooled) {
+                          core::nab_adversary* adv, bool pooled) {
   core::session_config cfg;
   cfg.g = g;
   cfg.f = f;
-  cfg.claim_backend = claims;
   cfg.pool_memory = pooled;
   sim::fault_set faults(g.universe(), corrupt);
   return core::run_session(std::move(cfg), faults, adv, /*q=*/5,
@@ -229,35 +227,31 @@ TEST(ArenaEquivalence, SessionsMatchAcrossAdversaryStrategies) {
   const graph::digraph k7 = graph::complete(7);
 
   // Honest (corrupt set present, passive).
-  expect_same_session_run(run_one(k7, 2, {2, 5}, nullptr, bb::claim_backend::phase_king, true),
-                          run_one(k7, 2, {2, 5}, nullptr, bb::claim_backend::phase_king, false),
-                          "honest");
+  expect_same_session_run(run_one(k7, 2, {2, 5}, nullptr, true),
+                          run_one(k7, 2, {2, 5}, nullptr, false), "honest");
 
   // Equivocating source (minority victims) — disputes via DC2.
   {
     core::equivocating_source adv_a({1, 3});
     core::equivocating_source adv_b({1, 3});
-    expect_same_session_run(
-        run_one(k7, 2, {0, 4}, &adv_a, bb::claim_backend::phase_king, true),
-        run_one(k7, 2, {0, 4}, &adv_b, bb::claim_backend::phase_king, false), "equivocate");
+    expect_same_session_run(run_one(k7, 2, {0, 4}, &adv_a, true),
+                            run_one(k7, 2, {0, 4}, &adv_b, false), "equivocate");
   }
 
   // Dropping relay — default-value handling through every phase.
   {
     dropping_relay adv_a;
     dropping_relay adv_b;
-    expect_same_session_run(
-        run_one(k7, 2, {3, 6}, &adv_a, bb::claim_backend::phase_king, true),
-        run_one(k7, 2, {3, 6}, &adv_b, bb::claim_backend::phase_king, false), "drop");
+    expect_same_session_run(run_one(k7, 2, {3, 6}, &adv_a, true),
+                            run_one(k7, 2, {3, 6}, &adv_b, false), "drop");
   }
 
   // Chaos (seeded fuzzing through all hooks) — the widest transcript churn.
   {
     core::chaos_adversary adv_a(0xc4a05, 0.7);
     core::chaos_adversary adv_b(0xc4a05, 0.7);
-    expect_same_session_run(
-        run_one(k7, 2, {1, 4}, &adv_a, bb::claim_backend::phase_king, true),
-        run_one(k7, 2, {1, 4}, &adv_b, bb::claim_backend::phase_king, false), "chaos");
+    expect_same_session_run(run_one(k7, 2, {1, 4}, &adv_a, true),
+                            run_one(k7, 2, {1, 4}, &adv_b, false), "chaos");
   }
 
   // Two-round flag phases (n > 4f) with a false flag forcing Phase 3.
@@ -265,10 +259,8 @@ TEST(ArenaEquivalence, SessionsMatchAcrossAdversaryStrategies) {
     core::false_flagger adv_a;
     core::false_flagger adv_b;
     const graph::digraph k9 = graph::complete(9);
-    expect_same_session_run(
-        run_one(k9, 2, {2, 7}, &adv_a, bb::claim_backend::collapsed, true),
-        run_one(k9, 2, {2, 7}, &adv_b, bb::claim_backend::collapsed, false),
-        "two-round flags, collapsed claims");
+    expect_same_session_run(run_one(k9, 2, {2, 7}, &adv_a, true),
+                            run_one(k9, 2, {2, 7}, &adv_b, false), "two-round flags");
   }
 }
 
@@ -279,9 +271,8 @@ TEST(ArenaEquivalence, SessionsMatchOnSparseEmulatedChannels) {
   g.remove_edge_pair(0, 3);
   core::stealth_disputer adv_a;
   core::stealth_disputer adv_b;
-  expect_same_session_run(run_one(g, 1, {4}, &adv_a, bb::claim_backend::phase_king, true),
-                          run_one(g, 1, {4}, &adv_b, bb::claim_backend::phase_king, false),
-                          "stealth/emulated");
+  expect_same_session_run(run_one(g, 1, {4}, &adv_a, true),
+                          run_one(g, 1, {4}, &adv_b, false), "stealth/emulated");
 }
 
 }  // namespace

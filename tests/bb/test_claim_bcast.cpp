@@ -1,12 +1,13 @@
-// Unit tests for the pluggable claim-broadcast layer (bb/claim_bcast.hpp):
-// digest algebra, the collapsed Bracha-style backend's agreement/validity
-// under digest equivocation, echo/ready suppression and forged retrievals,
-// and the batched phase-king backend down to its n > 3f boundary.
+// Unit tests for the claim broadcast (bb/claim_bcast.hpp): digest algebra,
+// the collapsed Bracha-style engine's agreement/validity under digest
+// equivocation, echo/ready suppression and forged retrievals, and the n > 3f
+// boundary it shares with Broadcast Default.
 
 #include "bb/claim_bcast.hpp"
 
 #include <gtest/gtest.h>
 
+#include "bb/broadcast.hpp"
 #include "core/omega_cache.hpp"
 #include "eig_oracle.hpp"
 #include "graph/generators.hpp"
@@ -99,29 +100,26 @@ TEST(ClaimDigest, PackedRoundTrips) {
   EXPECT_EQ(claim_digest::from_packed(0), claim_digest{});
 }
 
-// --- honest paths across both backends --------------------------------------
+// --- honest paths ----------------------------------------------------------
 
-TEST(ClaimBroadcast, BothBackendsDecideSubmittedInputs) {
-  // K_9 f=2 runs two-round phase-king phases, K_7 f=2 three-round ones.
-  for (int n : {9, 7})
-    for (claim_backend b : {claim_backend::phase_king, claim_backend::collapsed}) {
-      harness h(graph::complete(n), 2, {2, 5});  // corrupt but in-BB honest
-      const auto instances = distinct_claims(h.g);
-      const claim_outcome out =
-          broadcast_claims(b, h.plan, h.net, h.faults, instances, 2);
-      expect_all_decide_inputs(out, instances, h,
-                               b == claim_backend::phase_king ? "phase_king" : "collapsed");
-      EXPECT_EQ(out.fallback_retrievals, 0);
-      EXPECT_GT(h.net.total_bits(), 0u);
-    }
+TEST(ClaimBroadcast, DecidesSubmittedInputs) {
+  // K_9 f=2 (n > 4f) and K_7 f=2 (3f < n <= 4f).
+  for (int n : {9, 7}) {
+    harness h(graph::complete(n), 2, {2, 5});  // corrupt but in-BB honest
+    const auto instances = distinct_claims(h.g);
+    const claim_outcome out = broadcast_claims(h.plan, h.net, h.faults, instances, 2);
+    expect_all_decide_inputs(out, instances, h, n == 9 ? "K_9" : "K_7");
+    EXPECT_EQ(out.fallback_retrievals, 0);
+    EXPECT_GT(h.net.total_bits(), 0u);
+  }
 }
 
 TEST(ClaimBroadcast, CollapsedAgreesUnderAnyDigestSeed) {
   for (std::uint64_t seed : {0ull, 0x5eedull, ~0ull}) {
     harness h(graph::complete(7), 2, {1, 6});
     const auto instances = distinct_claims(h.g);
-    const claim_outcome out = broadcast_claims_collapsed(
-        h.plan, h.net, h.faults, instances, 2, nullptr, nullptr, seed);
+    const claim_outcome out =
+        broadcast_claims(h.plan, h.net, h.faults, instances, 2, nullptr, nullptr, seed);
     expect_all_decide_inputs(out, instances, h, "seeded");
     EXPECT_EQ(out.fallback_retrievals, 0);
   }
@@ -133,8 +131,7 @@ TEST(ClaimBroadcast, CollapsedRunsOnEmulatedSparseChannels) {
   g.remove_edge_pair(0, 3);
   harness h(g, 1, {4});
   const auto instances = distinct_claims(h.g);
-  const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
-                                                       instances, 1);
+  const claim_outcome out = broadcast_claims(h.plan, h.net, h.faults, instances, 1);
   expect_all_decide_inputs(out, instances, h, "sparse-collapsed");
   EXPECT_EQ(out.fallback_retrievals, 0);
 }
@@ -155,14 +152,14 @@ TEST(ClaimBroadcast, CollapsedChargesPolynomiallyFewerClaimBitsThanEig) {
   const claim_outcome eig_out =
       eig_claims(eig_h.plan, eig_h.net, eig_h.faults, instances, 2);
   harness col_h(g, 2, {1, 2});
-  const claim_outcome col_out = broadcast_claims_collapsed(
-      col_h.plan, col_h.net, col_h.faults, instances, 2);
+  const claim_outcome col_out =
+      broadcast_claims(col_h.plan, col_h.net, col_h.faults, instances, 2);
   EXPECT_EQ(eig_out.agreed, col_out.agreed);
   EXPECT_GT(eig_h.net.total_bits(), 10 * col_h.net.total_bits())
       << "eig=" << eig_h.net.total_bits() << " collapsed=" << col_h.net.total_bits();
 }
 
-// --- collapsed backend under its adversary hooks ---------------------------
+// --- the adversary hooks ---------------------------------------------------
 
 /// Claimant equivocation: even receivers get the honest payload, odd ones a
 /// substituted payload (with a matching digest — a "clean" equivocation).
@@ -178,8 +175,7 @@ TEST(ClaimBroadcast, CollapsedEquivocatingClaimantCannotSplitHonestNodes) {
   harness h(graph::complete(7), 2, {0, 3});
   const auto instances = distinct_claims(h.g);
   equivocating_claimant adv;
-  const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
-                                                       instances, 2, &adv);
+  const claim_outcome out = broadcast_claims(h.plan, h.net, h.faults, instances, 2, &adv);
   expect_honest_agree(out, h, "equivocate");
   // Honest claimants are untouched by the corrupt ones' equivocation.
   for (std::size_t q = 0; q < instances.size(); ++q) {
@@ -214,8 +210,7 @@ TEST(ClaimBroadcast, CollapsedDigestMismatchedPairsFallBackToRetrieval) {
     }
   } adv;
 
-  const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
-                                                       instances, 2, &adv);
+  const claim_outcome out = broadcast_claims(h.plan, h.net, h.faults, instances, 2, &adv);
   expect_honest_agree(out, h, "digest-mismatch");
   EXPECT_GT(out.fallback_retrievals, 0);
   // Every honest node ends with the payload backing the accepted digest —
@@ -255,19 +250,20 @@ TEST(ClaimBroadcast, CollapsedSurvivesSuppressionAndForgedRetrievals) {
   harness h(graph::complete(7), 2, {0, 6});
   const auto instances = distinct_claims(h.g);
   suppressor adv;
-  const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
-                                                       instances, 2, &adv);
+  const claim_outcome out = broadcast_claims(h.plan, h.net, h.faults, instances, 2, &adv);
   expect_all_decide_inputs(out, instances, h, "suppression");
 }
 
-TEST(ClaimBroadcast, PhaseKingRejectsUndersizedGroupsAtTheBoundary) {
-  // n = 6 <= 3f at f = 2: no Byzantine agreement exists, and the engine
-  // must abort at entry (sessions reject n < 3f+1 at construction).
+TEST(ClaimBroadcast, RejectsUndersizedGroupsAtTheBoundary) {
+  // n = 6 <= 3f at f = 2: no Byzantine agreement exists, and both the claim
+  // broadcast and Broadcast Default must abort at entry (sessions reject
+  // n < 3f+1 at construction).
   harness h(graph::complete(6), 2);
   const auto instances = distinct_claims(h.g);
-  EXPECT_DEATH(
-      broadcast_claims_phase_king(h.plan, h.net, h.faults, instances, 2),
-      "more than 3f participants");
+  EXPECT_DEATH(broadcast_claims(h.plan, h.net, h.faults, instances, 2),
+               "more than 3f participants");
+  EXPECT_DEATH(broadcast_default(h.plan, h.net, h.faults, 0, {1}, 2, 64),
+               "more than 3f participants");
 }
 
 }  // namespace

@@ -312,16 +312,6 @@ TEST(Session, CertifyCostCeilingSkipsButStillWorks) {
   EXPECT_GT(r.rho, 10);  // sanity: this really is the high-rho regime
 }
 
-TEST(Session, CertifyDisabledEntirely) {
-  session_config cfg{.g = graph::complete(4), .f = 1};
-  cfg.certify = false;
-  session s(cfg, sim::fault_set(4));
-  rng rand(42);
-  const auto r = s.run_instance(random_words(8, rand));
-  EXPECT_TRUE(r.agreement);
-  EXPECT_TRUE(r.validity);
-}
-
 TEST(Session, HighCapacityThroughputScalesWithC) {
   // The E6 mechanism at unit-test scale: throughput grows with the uniform
   // capacity c (gamma and rho scale linearly in c).

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/connectivity.hpp"
-#include "graph/dot.hpp"
 #include "graph/maxflow.hpp"
+#include "support/dot.hpp"
 #include "util/rng.hpp"
 
 namespace nab::graph {

@@ -1,4 +1,4 @@
-#include "graph/gomory_hu.hpp"
+#include "support/gomory_hu.hpp"
 
 #include <gtest/gtest.h>
 

@@ -5,6 +5,7 @@
 #include "graph/generators.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/mincut.hpp"
+#include "support/tree_packing_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

@@ -34,7 +34,6 @@ std::vector<scenario> all_kind_scenarios(bool pool_memory) {
                   .cap_hi = 1};
     s.f = 2;
     s.adversary = kind;
-    s.claim_backend = bb::claim_backend::collapsed;
     s.instances = 3;
     s.words = 8;
     s.pool_memory = pool_memory;

@@ -9,8 +9,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "runtime/runtime.hpp"
+#include "support/splitmix.hpp"
 #include "util/error.hpp"
 
 namespace nab::runtime {
@@ -113,6 +115,84 @@ TEST(HuntCorpus, CorpusFromTextRejectsDrift) {
   EXPECT_THROW(corpus_from_text("not json at all"), nab::error);
 }
 
+std::string golden_corpus_text() {
+  std::ifstream in(std::string(NAB_TEST_DATA_DIR) + "/golden_corpus.json");
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(HuntCorpus, CorpusFromTextRejectsOverflowAndDeepNesting) {
+  const std::string golden = golden_corpus_text();
+  ASSERT_FALSE(golden.empty()) << "missing tests/runtime/data/golden_corpus.json";
+  // A number past int64 is an error, not a wrapped value.
+  std::string huge = golden;
+  const std::size_t budget = huge.find("\"budget\": ");
+  ASSERT_NE(budget, std::string::npos);
+  huge.insert(budget + 10, "99999999999999999999");
+  EXPECT_THROW(corpus_from_text(huge), nab::error);
+  EXPECT_THROW(corpus_from_text("[9223372036854775808]"), nab::error);
+  EXPECT_THROW(corpus_from_text("[-9223372036854775808]"), nab::error);
+  // Nesting is bounded instead of recursing until the stack runs out.
+  for (const char* open : {"[", "{\"k\":"}) {
+    std::string deep;
+    for (int k = 0; k < 100000; ++k) deep += open;
+    EXPECT_THROW(corpus_from_text(deep), nab::error);
+  }
+}
+
+/// One deterministic mutation of a corpus document, drawn from `state`.
+std::string mutate_corpus(std::string text, std::uint64_t state) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(test::splitmix64(state) % (n == 0 ? 1 : n));
+  };
+  static const std::vector<std::string> splices = {
+      "99999999999999999999", "-", "[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[", "{\"", "\"\\",
+      "\\u0041", "true", "nul", ",", ":", "]", "}", "-0", "0x10", "1e9", "\"0x\"",
+      "\"0xzzzzzzzzzzzzzzzz\""};
+  for (int round = 0, rounds = 1 + static_cast<int>(pick(4)); round < rounds; ++round) {
+    const std::size_t at = pick(text.size() + 1);
+    switch (pick(5)) {
+      case 0:  // splice in a hostile fragment
+        text.insert(at, splices[pick(splices.size())]);
+        break;
+      case 1:  // flip one byte
+        if (at < text.size()) text[at] = static_cast<char>(pick(256));
+        break;
+      case 2:  // truncate
+        text.resize(at);
+        break;
+      case 3:  // delete a run
+        text.erase(at, pick(64));
+        break;
+      default:  // a long digit run (overflows any integer field)
+        text.insert(at, std::string(1 + pick(40), static_cast<char>('0' + pick(10))));
+        break;
+    }
+  }
+  return text;
+}
+
+TEST(HuntCorpus, MutatedCorporaParseOrThrowNabError) {
+  // Every mutant of the golden corpus either loads or throws nab::error;
+  // nothing else escapes, and the sanitizer jobs see no UB.
+  const std::string golden = golden_corpus_text();
+  ASSERT_FALSE(golden.empty()) << "missing tests/runtime/data/golden_corpus.json";
+  int parsed = 0, rejected = 0;
+  for (std::uint64_t seed = 0; seed < 600; ++seed) {
+    try {
+      corpus_from_text(mutate_corpus(golden, seed));
+      ++parsed;
+    } catch (const nab::error&) {
+      ++rejected;
+    }
+  }
+  // The mutator must exercise both outcomes (the corpus schema is strict,
+  // so few mutants still load).
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 500);
+}
+
 TEST(HuntCorpus, GoldenCorpusParsesAndReplays) {
   // tests/runtime/data/golden_corpus.json was produced by
   //   fleet --hunt --hunt-families complete-f2 --budget 48 --population 8
@@ -154,12 +234,11 @@ TEST(HuntCorpus, GoldenCorpusParsesAndReplays) {
   EXPECT_EQ(corpus_document(run_hunt(tiny_hunt())).dump(), text);
 }
 
-TEST(HuntContexts, ForceHuntedCollapsedAndRejectEmpty) {
+TEST(HuntContexts, ForceHuntedAndRejectEmpty) {
   const auto ctxs = hunt_contexts("complete-f2,ablation-claims", 16, 0);
   ASSERT_EQ(ctxs.size(), 2u);  // K_7 f=2 and K_9 f=2, deduped by (topology, f)
   for (const scenario& s : ctxs) {
     EXPECT_EQ(s.adversary, adversary_kind::hunted);
-    EXPECT_EQ(s.claim_backend, bb::claim_backend::collapsed);
     EXPECT_GT(s.f, 0);
     EXPECT_EQ(s.words, 16u);
   }

@@ -67,12 +67,11 @@ TEST(ObsCounters, CertifierCountsOneDowndatePerSubgraph) {
 }
 
 TEST(ObsCounters, ClaimTalliesAndMarginsOnDisputedCollapsedRuns) {
-  // The collapsed-backend ablation runs adversaries that force dispute
-  // phases, so the echo/ready tallies and the quorum-margin gauges engage.
+  // The claim ablation runs adversaries that force dispute phases, so the
+  // echo/ready tallies and the quorum-margin gauges engage.
   const std::vector<scenario> sweep = select_scenarios("ablation-claims");
   bool saw_collapsed_dispute = false;
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    if (sweep[i].claim_backend != bb::claim_backend::collapsed) continue;
     const run_record r = execute_scenario(sweep[i], static_cast<int>(i), 5);
     ASSERT_TRUE(r.ok()) << r.scenario;
     if (r.dispute_phases == 0) continue;

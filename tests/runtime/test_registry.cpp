@@ -44,42 +44,28 @@ TEST(Registry, SelectByNameMatchesExpandAndRejectsUnknown) {
   EXPECT_EQ(find_family("no-such-family"), nullptr);
 }
 
-TEST(Registry, EveryScenarioRoundTripsThroughParams) {
-  for (const scenario& s : all_scenarios()) {
-    const auto params = scenario_to_params(s);
-    const scenario back = scenario_from_params(params);
-    EXPECT_EQ(back, s) << s.name;
-  }
-}
-
-TEST(Registry, FromParamsRejectsMissingAndMalformedKeys) {
-  auto params = scenario_to_params(all_scenarios().front());
-  auto missing = params;
-  missing.erase("topology");
-  EXPECT_THROW(scenario_from_params(missing), nab::error);
-  auto bad = params;
-  bad["adversary"] = "quantum";
-  EXPECT_THROW(scenario_from_params(bad), nab::error);
-  auto bad_number = params;
-  bad_number["n"] = "abc";
-  EXPECT_THROW(scenario_from_params(bad_number), nab::error);
-  auto huge = params;
-  huge["cap_lo"] = "99999999999999999999999999";
-  EXPECT_THROW(scenario_from_params(huge), nab::error);
-}
-
-TEST(Registry, EnumStringsRoundTrip) {
+TEST(Registry, EnumNamesAreDistinct) {
+  // Scenario names and record fields are built from these names, so no two
+  // values of one enum may share one.
+  std::set<std::string> topologies, adversaries, propagations;
   for (auto k : {topology_kind::complete, topology_kind::fig1a, topology_kind::fig1b,
                  topology_kind::fig2, topology_kind::ring, topology_kind::erdos_renyi,
                  topology_kind::random_regular, topology_kind::hypercube,
                  topology_kind::clustered_wan, topology_kind::dumbbell,
                  topology_kind::weak_link, topology_kind::path_of_cliques})
-    EXPECT_EQ(topology_kind_from_string(to_string(k)), k);
+    EXPECT_TRUE(topologies.insert(to_string(k)).second) << to_string(k);
   for (auto k : {adversary_kind::honest, adversary_kind::p1_garble,
                  adversary_kind::equivocate, adversary_kind::p2_lie,
                  adversary_kind::false_flag, adversary_kind::stealth,
-                 adversary_kind::dispute_farm, adversary_kind::chaos})
-    EXPECT_EQ(adversary_kind_from_string(to_string(k)), k);
+                 adversary_kind::dispute_farm, adversary_kind::chaos,
+                 adversary_kind::hunted})
+    EXPECT_TRUE(adversaries.insert(to_string(k)).second) << to_string(k);
+  for (auto m : {core::propagation_mode::cut_through,
+                 core::propagation_mode::store_and_forward,
+                 core::propagation_mode::pipelined})
+    EXPECT_TRUE(propagations.insert(to_string(m)).second) << to_string(m);
+  for (const auto* names : {&topologies, &adversaries, &propagations})
+    EXPECT_EQ(names->count("?"), 0u);
 }
 
 TEST(Registry, TopologyNodesMatchesBuiltGraph) {
@@ -129,32 +115,34 @@ TEST(Registry, ScalingPresetsExist) {
   EXPECT_EQ(topology_nodes(find_family("wan_5cluster")->expand().front().topology), 20);
 }
 
-TEST(Registry, N64PresetsPinTheCollapsedClaimBackend) {
-  // The n = 64 families exist because the collapsed backend makes their
-  // dispute phases polynomial; they must stay pinned to it and keep the
-  // raised certification gate that lets the rank checks run at that size.
+TEST(Registry, N64PresetsKeepTheRaisedCertifyGate) {
+  // The n = 64 families exist because the collapsed claim broadcast makes
+  // their dispute phases polynomial; they must keep the raised
+  // certification gate that lets the rank checks run at that size.
   for (const char* name : {"k64_dense", "hypercube_d6"}) {
     const scenario_family* fam = find_family(name);
     ASSERT_NE(fam, nullptr) << name;
     for (const scenario& s : fam->expand()) {
       EXPECT_EQ(topology_nodes(s.topology), 64) << s.name;
-      EXPECT_EQ(s.claim_backend, bb::claim_backend::collapsed) << s.name;
       EXPECT_GT(s.certify_cost_limit, 1'000'000'000u) << s.name;
     }
   }
-  // The backend ablation sweeps both engines on one topology.
+  // The claim ablation: K_9 at f = 2 under three dispute-forcing attacks.
   const scenario_family* ablation = find_family("ablation-claims");
   ASSERT_NE(ablation, nullptr);
-  std::set<bb::claim_backend> seen;
-  for (const scenario& s : ablation->expand()) seen.insert(s.claim_backend);
-  EXPECT_EQ(seen.size(), 2u);
+  const std::vector<scenario> runs = ablation->expand();
+  ASSERT_EQ(runs.size(), 3u);
+  for (const scenario& s : runs) {
+    EXPECT_EQ(topology_nodes(s.topology), 9) << s.name;
+    EXPECT_EQ(s.f, 2) << s.name;
+  }
 }
 
 TEST(Registry, FrontierPresetsPinTheLeaveOneOutScale) {
   // K_64-complete and the 128-node hypercube exist because the f = 1
   // leave-one-out certifier and the SIMD row kernels make their rank checks
-  // affordable; they must keep the shape that guarantees that path (f = 1,
-  // collapsed claims) and k64_complete must keep the measured-scale gate
+  // affordable; they must keep the shape that guarantees that path (f = 1)
+  // and k64_complete must keep the measured-scale gate
   // (~3.2e10 GF words) that admits its certification.
   const scenario_family* k64c = find_family("k64_complete");
   ASSERT_NE(k64c, nullptr);
@@ -163,14 +151,12 @@ TEST(Registry, FrontierPresetsPinTheLeaveOneOutScale) {
     EXPECT_EQ(s.topology.kind, topology_kind::complete) << s.name;
     EXPECT_EQ(topology_nodes(s.topology), 64) << s.name;
     EXPECT_EQ(s.f, 1) << s.name;
-    EXPECT_EQ(s.claim_backend, bb::claim_backend::collapsed) << s.name;
   }
   const scenario_family* d7 = find_family("hypercube_d7");
   ASSERT_NE(d7, nullptr);
   for (const scenario& s : d7->expand()) {
     EXPECT_EQ(topology_nodes(s.topology), 128) << s.name;
     EXPECT_EQ(s.f, 1) << s.name;
-    EXPECT_EQ(s.claim_backend, bb::claim_backend::collapsed) << s.name;
   }
 }
 
@@ -227,13 +213,6 @@ TEST(Registry, AblationFlagsSpansThePhaseKingBoundary) {
   EXPECT_TRUE(two_round);
 }
 
-TEST(Registry, ClaimBackendStringsRoundTrip) {
-  for (auto b : {bb::claim_backend::phase_king, bb::claim_backend::collapsed})
-    EXPECT_EQ(claim_backend_from_string(to_string(b)), b);
-  for (const char* gone : {"telepathy", "eig", "auto"})
-    EXPECT_THROW(claim_backend_from_string(gone), nab::error);
-}
-
 TEST(Registry, TraceCaptureFillsDeterministicTrafficMatrices) {
   // fleet --trace rides on execute_scenario's capture flag: the traffic
   // matrix must be filled, workload-determined (identical across repeats),
@@ -265,7 +244,6 @@ TEST(Registry, PipelinedPropagationIsARunnableAxis) {
   for (const scenario& s : sweep)
     if (s.propagation == core::propagation_mode::pipelined) pipelined = &s;
   ASSERT_NE(pipelined, nullptr);
-  EXPECT_EQ(propagation_from_string("pipelined"), core::propagation_mode::pipelined);
 
   const run_record rec = execute_scenario(*pipelined, 2, 11);
   EXPECT_TRUE(rec.ok()) << rec.scenario;

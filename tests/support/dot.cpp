@@ -1,4 +1,4 @@
-#include "graph/dot.hpp"
+#include "support/dot.hpp"
 
 #include <sstream>
 
